@@ -374,7 +374,7 @@ mod tests {
             cycles: hmp_sim::Cycle::new(1000),
             bus: hmp_bus::BusStats::default(),
             cpus: Vec::new(),
-            stats: hmp_sim::Stats::new(),
+            stats: hmp_sim::CounterBank::new(0),
             violations: Vec::new(),
             metrics: None,
             hang: None,

@@ -16,7 +16,7 @@
 
 use hmp_cpu::LockKind;
 use hmp_platform::{presets, RunOutcome, RunResult, Strategy};
-use hmp_sim::{FaultKind, FaultPlan, FaultSpec};
+use hmp_sim::{FaultKind, FaultPlan, FaultSpec, RetryCause};
 use hmp_workloads::{build_programs, MicrobenchParams, Scenario};
 
 /// nFIQ-delay fault magnitudes the probe sweeps (bus cycles; 0 = no
@@ -97,5 +97,5 @@ fn delayed_interrupts_stretch_but_do_not_break_the_drain_window() {
         delayed.cycles_u64(),
         clean.cycles_u64()
     );
-    assert!(delayed.stats.get("bus.retry.cam") >= clean.stats.get("bus.retry.cam"));
+    assert!(delayed.stats.retry(RetryCause::CamHit) >= clean.stats.retry(RetryCause::CamHit));
 }

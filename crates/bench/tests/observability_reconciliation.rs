@@ -45,11 +45,11 @@ fn metrics_reconcile_exactly_on_the_golden_wcs_cell() {
         "per-cause retry split must sum to the total"
     );
 
-    // Retry causes against the CounterBank's legacy stats keys.
+    // Retry causes against the run's CounterBank.
     for cause in RetryCause::ALL {
         assert_eq!(
             snap.retry_by_cause[cause as usize],
-            r.stats.get(&format!("bus.retry.{}", cause.key())),
+            r.stats.retry(cause),
             "bus.retry.{}",
             cause.key()
         );

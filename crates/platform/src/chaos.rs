@@ -150,7 +150,7 @@ mod tests {
     use hmp_cache::LineState;
     use hmp_cpu::CpuCounters;
     use hmp_mem::Addr;
-    use hmp_sim::{Cycle, Stats};
+    use hmp_sim::{CounterBank, Cycle};
 
     fn result(outcome: RunOutcome) -> RunResult {
         RunResult {
@@ -158,7 +158,7 @@ mod tests {
             cycles: Cycle::new(100),
             bus: BusStats::default(),
             cpus: vec![CpuCounters::default(); 2],
-            stats: Stats::new(),
+            stats: CounterBank::new(2),
             violations: Vec::new(),
             metrics: None,
             hang: None,

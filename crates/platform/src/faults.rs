@@ -166,7 +166,7 @@ mod tests {
     use hmp_bus::RecoveryPolicy;
     use hmp_cache::ProtocolKind;
     use hmp_cpu::{LockKind, LockLayout, Program, ProgramBuilder};
-    use hmp_sim::{FaultKind, FaultPlan, FaultSpec, Kernel};
+    use hmp_sim::{FaultKind, FaultPlan, FaultSpec, Kernel, RetryCause};
 
     fn two_mesi_spec() -> (PlatformSpec, crate::MemLayout) {
         let (lay, map) = layout(2, Strategy::Proposed, LockKind::Turn, false);
@@ -218,7 +218,7 @@ mod tests {
         assert_eq!(r.outcome, RunOutcome::Completed, "{r}");
         assert!(r.violations.is_empty(), "{r}");
         assert_eq!(r.faults_injected, 1);
-        assert_eq!(r.stats.get("bus.retry.injected"), 2, "{r}");
+        assert_eq!(r.stats.retry(RetryCause::Injected), 2, "{r}");
     }
 
     #[test]
@@ -279,7 +279,7 @@ mod tests {
             "{r}"
         );
         assert!(!r.is_clean_completion());
-        assert!(r.stats.get("bus.retry.injected") >= 6, "{r}");
+        assert!(r.stats.retry(RetryCause::Injected) >= 6, "{r}");
         // The healthy CPU finished its read despite the wedged peer.
         assert_eq!(r.cpus[1].reads, 1);
     }
@@ -333,7 +333,7 @@ mod tests {
         let r = run_both(&spec, vec![ppc, arm], 200_000);
         assert!(r.is_clean_completion(), "delayed nFIQ must recover: {r}");
         assert_eq!(r.faults_injected, 1);
-        assert!(r.stats.get("bus.retry.cam") >= 1, "{r}");
+        assert!(r.stats.retry(RetryCause::CamHit) >= 1, "{r}");
     }
 
     #[test]

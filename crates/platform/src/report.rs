@@ -2,6 +2,7 @@
 
 use crate::RunResult;
 use core::fmt;
+use hmp_sim::CpuCounter;
 
 /// A digested view of a [`RunResult`], answering the questions the
 /// paper's evaluation section asks: how busy was the bus, how well did
@@ -67,12 +68,12 @@ impl Report {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let hits = result.stats.get(&format!("cpu{i}.read_hit"))
-                    + result.stats.get(&format!("cpu{i}.write_hit"))
-                    + result.stats.get(&format!("cpu{i}.write_through"))
-                    + result.stats.get(&format!("cpu{i}.write_upgrade"));
-                let misses = result.stats.get(&format!("cpu{i}.read_miss"))
-                    + result.stats.get(&format!("cpu{i}.write_miss"));
+                let count = |counter| result.stats.get(i, counter);
+                let hits = count(CpuCounter::ReadHit)
+                    + count(CpuCounter::WriteHit)
+                    + count(CpuCounter::WriteThrough)
+                    + count(CpuCounter::WriteUpgrade);
+                let misses = count(CpuCounter::ReadMiss) + count(CpuCounter::WriteMiss);
                 let total = hits + misses;
                 CpuReport {
                     cache_hits: hits,
@@ -82,9 +83,9 @@ impl Report {
                     } else {
                         hits as f64 / total as f64
                     },
-                    upgrades: result.stats.get(&format!("cpu{i}.write_upgrade")),
-                    uncached_ops: result.stats.get(&format!("cpu{i}.uncached_read"))
-                        + result.stats.get(&format!("cpu{i}.uncached_write")),
+                    upgrades: count(CpuCounter::WriteUpgrade),
+                    uncached_ops: count(CpuCounter::UncachedRead)
+                        + count(CpuCounter::UncachedWrite),
                     lock_ops: c.lock_mem_ops,
                     isr_entries: c.isr_entries,
                     isr_cycles: c.isr_cycles,

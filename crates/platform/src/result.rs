@@ -4,7 +4,7 @@ use crate::{InvariantViolation, Violation};
 use core::fmt;
 use hmp_bus::BusStats;
 use hmp_cpu::CpuCounters;
-use hmp_sim::{Cycle, KernelProfile, MetricsSnapshot, Span, Stats, TimeSeriesSnapshot};
+use hmp_sim::{CounterBank, Cycle, KernelProfile, MetricsSnapshot, Span, TimeSeriesSnapshot};
 
 /// Why the run loop stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,9 +110,9 @@ pub struct RunResult {
     pub bus: BusStats,
     /// Per-CPU activity counters, in master order.
     pub cpus: Vec<CpuCounters>,
-    /// Fine-grained platform counters (`cpu0.read_hit`,
-    /// `bus.retry.cam`, …).
-    pub stats: Stats,
+    /// Fine-grained platform counters: per-CPU hits, misses, snoop and
+    /// ISR activity, and bus retries by cause.
+    pub stats: CounterBank,
     /// Stale reads the checker recorded (empty when coherent or the
     /// checker was off).
     pub violations: Vec<Violation>,
@@ -237,7 +237,7 @@ mod tests {
             cycles: Cycle::new(100),
             bus: BusStats::default(),
             cpus: vec![CpuCounters::default(); 2],
-            stats: Stats::new(),
+            stats: CounterBank::new(2),
             violations: Vec::new(),
             metrics: None,
             hang: None,

@@ -14,7 +14,7 @@ use hmp_cpu::{Cpu, CpuAction, CpuConfig, LockKind, Program};
 use hmp_mem::{Addr, Memory, MemoryController, MemoryMap};
 use hmp_sim::{
     ClockDomain, CounterBank, Cycle, EventSchedule, Kernel, KernelProfile, MetricsObserver,
-    MetricsRegistry, NullObserver, Observer, RetryCause, SimEvent, Stats, TraceObserver, Watchdog,
+    MetricsRegistry, NullObserver, Observer, RetryCause, SimEvent, TraceObserver, Watchdog,
     WatchdogVerdict, NO_EVENT,
 };
 use std::time::Instant;
@@ -576,12 +576,6 @@ impl<O: Observer> System<O> {
         }
     }
 
-    /// Platform counters accumulated so far, rendered to the legacy
-    /// string-keyed registry.
-    pub fn stats(&self) -> Stats {
-        self.counters.to_stats()
-    }
-
     /// The raw enum-indexed counter bank.
     pub fn counters(&self) -> &CounterBank {
         &self.counters
@@ -960,7 +954,7 @@ impl<O: Observer> System<O> {
             cycles: self.now,
             bus: self.bus.stats(),
             cpus: self.nodes.iter().map(|n| n.cpu.counters()).collect(),
-            stats: self.counters.to_stats(),
+            stats: self.counters.clone(),
             violations: self
                 .checker
                 .as_ref()
@@ -1176,6 +1170,7 @@ mod tests {
     use crate::{layout, CpuSpec, PlatformSpec, Strategy};
     use hmp_cache::LineState;
     use hmp_cpu::{LockLayout, ProgramBuilder};
+    use hmp_sim::CpuCounter;
 
     fn two_mesi_spec(strategy: Strategy) -> (PlatformSpec, crate::MemLayout) {
         let (lay, map) = layout(2, strategy, LockKind::Turn, false);
@@ -1253,7 +1248,7 @@ mod tests {
         assert!(result.is_clean_completion(), "{result}");
         assert_eq!(sys.cache(0).line_state(a), Some(LineState::Modified));
         assert_eq!(sys.cache(1).line_state(a), None, "upgrade invalidated P1");
-        assert!(result.stats.get("cpu0.write_upgrade") >= 1);
+        assert!(result.stats.get(0, CpuCounter::WriteUpgrade) >= 1);
     }
 
     #[test]
@@ -1268,8 +1263,8 @@ mod tests {
         assert_eq!(sys.memory().read_word(a), 9);
         assert!(!sys.cache(0).contains(a), "shared data must not be cached");
         assert!(!sys.cache(1).contains(a));
-        assert!(result.stats.get("cpu0.uncached_write") >= 1);
-        assert!(result.stats.get("cpu1.uncached_read") >= 1);
+        assert!(result.stats.get(0, CpuCounter::UncachedWrite) >= 1);
+        assert!(result.stats.get(1, CpuCounter::UncachedRead) >= 1);
     }
 
     #[test]
@@ -1390,7 +1385,7 @@ mod tests {
         assert!(result.is_clean_completion(), "{result}");
         assert_eq!(sys.cache(0).peek_word(a), Some(123), "PPC sees ARM's write");
         assert!(result.cpus[1].isr_entries >= 1, "ARM took the nFIQ");
-        assert!(result.stats.get("bus.retry.cam") >= 1);
+        assert!(result.stats.retry(RetryCause::CamHit) >= 1);
         assert_eq!(sys.memory().read_word(a), 123, "ISR drained to memory");
     }
 
@@ -1413,7 +1408,7 @@ mod tests {
         let result = sys.run(10_000);
         assert!(result.is_clean_completion(), "{result}");
         assert_eq!(sys.memory().read_word(a), 1);
-        assert!(result.stats.get("cpu0.victim_writeback") >= 1);
+        assert!(result.stats.get(0, CpuCounter::VictimWriteback) >= 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! they are touched once per executed cell, not per simulated cycle, so
 //! the lock is nowhere near any hot path.
 
-use hmp_sim::Hist;
+use hmp_sim::{exposition_header, Hist};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -143,21 +143,22 @@ impl ServerMetrics {
             ),
         ];
         for (name, help, value) in counters {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
+            exposition_header(&mut out, name, "counter", help);
             let _ = writeln!(out, "{name} {}", value.load(Ordering::Relaxed));
         }
-        let _ = writeln!(
-            out,
-            "# HELP hmp_server_queue_depth Cells queued or executing"
+        exposition_header(
+            &mut out,
+            "hmp_server_queue_depth",
+            "gauge",
+            "Cells queued or executing",
         );
-        let _ = writeln!(out, "# TYPE hmp_server_queue_depth gauge");
         let _ = writeln!(out, "hmp_server_queue_depth {}", self.queue_depth());
-        let _ = writeln!(
-            out,
-            "# HELP hmp_server_hit_ratio Fraction of cells served without executing"
+        exposition_header(
+            &mut out,
+            "hmp_server_hit_ratio",
+            "gauge",
+            "Fraction of cells served without executing",
         );
-        let _ = writeln!(out, "# TYPE hmp_server_hit_ratio gauge");
         let _ = writeln!(out, "hmp_server_hit_ratio {:.6}", self.hit_ratio());
 
         let h = self.hists.lock().expect("metrics lock");
@@ -178,8 +179,7 @@ impl ServerMetrics {
 }
 
 fn expo_hist(out: &mut String, name: &str, help: &str, h: &Hist) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
+    exposition_header(out, name, "histogram", help);
     let mut cumulative = 0u64;
     for (i, &count) in h.buckets().iter().enumerate() {
         if count == 0 {
@@ -228,6 +228,8 @@ mod tests {
         m.enqueued(1);
         m.executed(100, 5_000);
         let text = m.exposition();
+        // Byte for byte: clients scrape this format.
+        assert_eq!(text, EXPOSITION_BYTES);
         for needle in [
             "# TYPE hmp_server_jobs_total counter",
             "hmp_server_jobs_total 1",
@@ -252,4 +254,45 @@ mod tests {
             );
         }
     }
+
+    const EXPOSITION_BYTES: &str = r#"# HELP hmp_server_jobs_total Jobs admitted
+# TYPE hmp_server_jobs_total counter
+hmp_server_jobs_total 1
+# HELP hmp_server_cells_total Cells requested
+# TYPE hmp_server_cells_total counter
+hmp_server_cells_total 2
+# HELP hmp_server_hits_memory_total Cells served from the in-memory cache
+# TYPE hmp_server_hits_memory_total counter
+hmp_server_hits_memory_total 1
+# HELP hmp_server_hits_disk_total Cells served from the on-disk cache
+# TYPE hmp_server_hits_disk_total counter
+hmp_server_hits_disk_total 0
+# HELP hmp_server_executed_total Cells actually simulated
+# TYPE hmp_server_executed_total counter
+hmp_server_executed_total 1
+# HELP hmp_server_coalesced_total Cells coalesced onto another client's execution
+# TYPE hmp_server_coalesced_total counter
+hmp_server_coalesced_total 0
+# HELP hmp_server_errors_total Malformed requests rejected
+# TYPE hmp_server_errors_total counter
+hmp_server_errors_total 0
+# HELP hmp_server_queue_depth Cells queued or executing
+# TYPE hmp_server_queue_depth gauge
+hmp_server_queue_depth 0
+# HELP hmp_server_hit_ratio Fraction of cells served without executing
+# TYPE hmp_server_hit_ratio gauge
+hmp_server_hit_ratio 0.500000
+# HELP hmp_server_queue_wait_us Microseconds from admission to execution start
+# TYPE hmp_server_queue_wait_us histogram
+hmp_server_queue_wait_us_bucket{le="127"} 1
+hmp_server_queue_wait_us_bucket{le="+Inf"} 1
+hmp_server_queue_wait_us_sum 100
+hmp_server_queue_wait_us_count 1
+# HELP hmp_server_service_us Microseconds of simulation per executed cell
+# TYPE hmp_server_service_us histogram
+hmp_server_service_us_bucket{le="8191"} 1
+hmp_server_service_us_bucket{le="+Inf"} 1
+hmp_server_service_us_sum 5000
+hmp_server_service_us_count 1
+"#;
 }

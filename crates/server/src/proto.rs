@@ -90,8 +90,8 @@ fn outcome_key(outcome: RunOutcome) -> &'static str {
 /// receives.
 ///
 /// Covers exactly the fields `RunResult::eq` compares that are cheap to
-/// ship (outcome, cycles, bus stats, per-CPU counters, the full stats
-/// registry in its sorted order, violation count, faults injected) and
+/// ship (outcome, cycles, bus stats, per-CPU counters, the nonzero
+/// platform counters sorted by key, violation count, faults injected) and
 /// deliberately excludes the kernel self-profile, which is wall-clock-
 /// and machine-dependent by construction. Two runs of the same digest on
 /// any machine render to identical bytes.
@@ -142,7 +142,10 @@ pub fn result_json(r: &RunResult) -> String {
         );
     }
     out.push_str("],\"stats\":{");
-    for (i, (key, value)) in r.stats.iter().enumerate() {
+    // Byte order (`cpu10` before `cpu2`) is part of the cached bytes.
+    let mut stats: Vec<(String, u64)> = r.stats.iter().collect();
+    stats.sort_unstable();
+    for (i, (key, value)) in stats.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -160,9 +163,10 @@ pub fn result_json(r: &RunResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmp_cache::ProtocolKind;
     use hmp_platform::Strategy;
     use hmp_sim::export::validate_json;
-    use hmp_workloads::{MicrobenchParams, RunSpec, Runner, Scenario};
+    use hmp_workloads::{MicrobenchParams, PlatformPick, RunSpec, Runner, Scenario};
 
     fn small_spec() -> RunSpec {
         RunSpec::new(
@@ -245,5 +249,92 @@ mod tests {
         assert!(json.contains(r#""outcome":"degraded""#), "{json}");
         assert!(json.contains(r#""quarantined":2"#), "{json}");
         assert!(json.contains(r#""faults_absorbed":5"#), "{json}");
+    }
+
+    /// Served and cached bytes for two cells. Any change here invalidates
+    /// every on-disk cache entry, so it must come with a `SIM_EPOCH` or
+    /// `SCHEMA_VERSION` bump.
+    const PF2_PROPOSED_BYTES: &str = concat!(
+        r#"{"outcome":"completed","cycles":528,"quarantined":0,"faults_absorbed":0,"#,
+        r#""bus":{"grants":60,"retries":18,"completions":42,"drains":4,"data_cycles":350},"#,
+        r#""cpus":[{"reads":32,"writes":32,"maintenance":0,"lock_acquires":2,"lock_releases":2,"#,
+        r#""lock_mem_ops":15,"isr_entries":0,"isr_cycles":0},{"reads":32,"writes":32,"#,
+        r#""maintenance":0,"lock_acquires":2,"lock_releases":2,"lock_mem_ops":13,"#,
+        r#""isr_entries":2,"isr_cycles":48}],"stats":{"bus.retry.cam":14,"#,
+        r#""bus.retry.snoop_drain":4,"cpu0.read_hit":28,"cpu0.read_miss":4,"#,
+        r#""cpu0.snoop_drain":4,"cpu0.snoop_hit":4,"cpu0.uncached_read":13,"#,
+        r#""cpu0.uncached_write":2,"cpu0.write_hit":32,"cpu1.cam_hit":14,"cpu1.flush_dirty":2,"#,
+        r#""cpu1.isr_drain_dirty":2,"cpu1.read_hit":28,"cpu1.read_miss":4,"#,
+        r#""cpu1.uncached_read":11,"cpu1.uncached_write":2,"cpu1.write_hit":32},"violations":0,"#,
+        r#""faults_injected":0}"#,
+    );
+
+    const FABRIC_12_BYTES: &str = concat!(
+        r#"{"outcome":"completed","cycles":14618,"quarantined":0,"faults_absorbed":0,"#,
+        r#""bus":{"grants":1564,"retries":46,"completions":1518,"drains":46,"#,
+        r#""data_cycles":12950},"cpus":[{"reads":32,"writes":32,"maintenance":0,"#,
+        r#""lock_acquires":2,"lock_releases":2,"lock_mem_ops":79,"isr_entries":0,"#,
+        r#""isr_cycles":0},{"reads":32,"writes":32,"maintenance":0,"lock_acquires":2,"#,
+        r#""lock_releases":2,"lock_mem_ops":82,"isr_entries":0,"isr_cycles":0},{"reads":32,"#,
+        r#""writes":32,"maintenance":0,"lock_acquires":2,"lock_releases":2,"lock_mem_ops":89,"#,
+        r#""isr_entries":0,"isr_cycles":0},{"reads":32,"writes":32,"maintenance":0,"#,
+        r#""lock_acquires":2,"lock_releases":2,"lock_mem_ops":96,"isr_entries":0,"#,
+        r#""isr_cycles":0},{"reads":32,"writes":32,"maintenance":0,"lock_acquires":2,"#,
+        r#""lock_releases":2,"lock_mem_ops":103,"isr_entries":0,"isr_cycles":0},{"reads":32,"#,
+        r#""writes":32,"maintenance":0,"lock_acquires":2,"lock_releases":2,"lock_mem_ops":110,"#,
+        r#""isr_entries":0,"isr_cycles":0},{"reads":32,"writes":32,"maintenance":0,"#,
+        r#""lock_acquires":2,"lock_releases":2,"lock_mem_ops":117,"isr_entries":0,"#,
+        r#""isr_cycles":0},{"reads":32,"writes":32,"maintenance":0,"lock_acquires":2,"#,
+        r#""lock_releases":2,"lock_mem_ops":124,"isr_entries":0,"isr_cycles":0},{"reads":32,"#,
+        r#""writes":32,"maintenance":0,"lock_acquires":2,"lock_releases":2,"lock_mem_ops":131,"#,
+        r#""isr_entries":0,"isr_cycles":0},{"reads":32,"writes":32,"maintenance":0,"#,
+        r#""lock_acquires":2,"lock_releases":2,"lock_mem_ops":140,"isr_entries":0,"#,
+        r#""isr_cycles":0},{"reads":32,"writes":32,"maintenance":0,"lock_acquires":2,"#,
+        r#""lock_releases":2,"lock_mem_ops":149,"isr_entries":0,"isr_cycles":0},{"reads":32,"#,
+        r#""writes":32,"maintenance":0,"lock_acquires":2,"lock_releases":2,"lock_mem_ops":158,"#,
+        r#""isr_entries":0,"isr_cycles":0}],"stats":{"bus.retry.snoop_drain":46,"#,
+        r#""cpu0.read_hit":28,"cpu0.read_miss":4,"cpu0.snoop_drain":4,"cpu0.snoop_hit":12,"#,
+        r#""cpu0.uncached_read":77,"cpu0.uncached_write":2,"cpu0.write_hit":30,"#,
+        r#""cpu0.write_upgrade":2,"cpu1.read_hit":28,"cpu1.read_miss":4,"cpu1.snoop_drain":4,"#,
+        r#""cpu1.snoop_hit":12,"cpu1.uncached_read":80,"cpu1.uncached_write":2,"#,
+        r#""cpu1.write_hit":28,"cpu1.write_upgrade":4,"cpu10.read_hit":28,"cpu10.read_miss":4,"#,
+        r#""cpu10.snoop_drain":4,"cpu10.snoop_hit":12,"cpu10.uncached_read":147,"#,
+        r#""cpu10.uncached_write":2,"cpu10.write_hit":28,"cpu10.write_upgrade":4,"#,
+        r#""cpu11.read_hit":28,"cpu11.read_miss":4,"cpu11.snoop_drain":2,"cpu11.snoop_hit":6,"#,
+        r#""cpu11.uncached_read":156,"cpu11.uncached_write":2,"cpu11.write_hit":28,"#,
+        r#""cpu11.write_upgrade":4,"cpu2.read_hit":28,"cpu2.read_miss":4,"cpu2.snoop_drain":4,"#,
+        r#""cpu2.snoop_hit":12,"cpu2.uncached_read":87,"cpu2.uncached_write":2,"#,
+        r#""cpu2.write_hit":28,"cpu2.write_upgrade":4,"cpu3.read_hit":28,"cpu3.read_miss":4,"#,
+        r#""cpu3.snoop_drain":4,"cpu3.snoop_hit":12,"cpu3.uncached_read":94,"#,
+        r#""cpu3.uncached_write":2,"cpu3.write_hit":28,"cpu3.write_upgrade":4,"#,
+        r#""cpu4.read_hit":28,"cpu4.read_miss":4,"cpu4.snoop_drain":4,"cpu4.snoop_hit":12,"#,
+        r#""cpu4.uncached_read":101,"cpu4.uncached_write":2,"cpu4.write_hit":28,"#,
+        r#""cpu4.write_upgrade":4,"cpu5.read_hit":28,"cpu5.read_miss":4,"cpu5.snoop_drain":4,"#,
+        r#""cpu5.snoop_hit":12,"cpu5.uncached_read":108,"cpu5.uncached_write":2,"#,
+        r#""cpu5.write_hit":28,"cpu5.write_upgrade":4,"cpu6.read_hit":28,"cpu6.read_miss":4,"#,
+        r#""cpu6.snoop_drain":4,"cpu6.snoop_hit":12,"cpu6.uncached_read":115,"#,
+        r#""cpu6.uncached_write":2,"cpu6.write_hit":28,"cpu6.write_upgrade":4,"#,
+        r#""cpu7.read_hit":28,"cpu7.read_miss":4,"cpu7.snoop_drain":4,"cpu7.snoop_hit":12,"#,
+        r#""cpu7.uncached_read":122,"cpu7.uncached_write":2,"cpu7.write_hit":28,"#,
+        r#""cpu7.write_upgrade":4,"cpu8.read_hit":28,"cpu8.read_miss":4,"cpu8.snoop_drain":4,"#,
+        r#""cpu8.snoop_hit":12,"cpu8.uncached_read":129,"cpu8.uncached_write":2,"#,
+        r#""cpu8.write_hit":28,"cpu8.write_upgrade":4,"cpu9.read_hit":28,"cpu9.read_miss":4,"#,
+        r#""cpu9.snoop_drain":4,"cpu9.snoop_hit":12,"cpu9.uncached_read":138,"#,
+        r#""cpu9.uncached_write":2,"cpu9.write_hit":28,"cpu9.write_upgrade":4},"violations":0,"#,
+        r#""faults_injected":0}"#,
+    );
+
+    #[test]
+    fn result_json_bytes_are_pinned() {
+        let pf2 = small_spec();
+        let fabric = pf2.on(PlatformPick::Fabric {
+            protocol: ProtocolKind::Mesi,
+            masters: 12,
+            segments: 2,
+        });
+        let mut runner = Runner::new();
+        assert_eq!(result_json(&runner.run(&pf2)), PF2_PROPOSED_BYTES);
+        // Two-digit CPU indices sort by bytes: `cpu10` before `cpu2`.
+        assert_eq!(result_json(&runner.run(&fabric)), FABRIC_12_BYTES);
     }
 }

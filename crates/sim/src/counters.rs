@@ -1,17 +1,14 @@
 //! Enum-indexed platform counters.
 //!
-//! The hot path used to build string keys (`format!("cpu{i}.read_hit")`)
-//! for every increment into [`crate::Stats`]. A [`CounterBank`] replaces
-//! that with plain array indexing; the string keys are only materialized
-//! when a run finishes, via [`CounterBank::to_stats`] /
-//! [`CounterBank::iter`], so report output is unchanged.
+//! A [`CounterBank`] counts with plain array indexing; the dotted string
+//! keys (`cpu0.read_hit`, `bus.retry.cam`) are only built when a report
+//! asks for them, via [`CounterBank::iter`].
 
 use crate::event::RetryCause;
-use crate::Stats;
 
 /// A per-CPU activity counter.
 ///
-/// Each variant corresponds to one legacy `cpu{i}.<key>` stats key; see
+/// Each variant is reported under one `cpu{i}.<key>` key; see
 /// [`CpuCounter::key`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuCounter {
@@ -88,7 +85,7 @@ impl CpuCounter {
         CpuCounter::UpgradeLost,
     ];
 
-    /// The legacy stats key suffix (`cpu{i}.<key>`).
+    /// The report key suffix (`cpu{i}.<key>`).
     pub fn key(self) -> &'static str {
         match self {
             CpuCounter::ReadHit => "read_hit",
@@ -125,8 +122,7 @@ impl CpuCounter {
 ///
 /// Incrementing is a bounds-checked array add — no hashing, no string
 /// building. Untouched counters stay at zero and are omitted from
-/// [`CounterBank::to_stats`], matching the legacy behaviour where a key
-/// existed only once incremented.
+/// [`CounterBank::iter`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterBank {
     retries: [u64; RetryCause::COUNT],
@@ -177,10 +173,9 @@ impl CounterBank {
         }
     }
 
-    /// Compatibility iterator over `(legacy key, value)` pairs, skipping
-    /// zero-valued counters — the set of pairs the string-keyed path
-    /// would have produced. Pairs come out grouped bus-then-CPU; use
-    /// [`CounterBank::to_stats`] when the legacy *sorted* order matters.
+    /// Iterates `(key, value)` pairs, skipping zero-valued counters.
+    /// Pairs come out grouped bus-then-CPU, not sorted by key: sort them
+    /// where the order is part of an output format.
     pub fn iter(&self) -> impl Iterator<Item = (String, u64)> + '_ {
         let retries = RetryCause::ALL
             .iter()
@@ -191,13 +186,6 @@ impl CounterBank {
                 .map(move |&c| (format!("cpu{i}.{}", c.key()), bank[c.index()]))
         });
         retries.chain(cpus).filter(|&(_, v)| v > 0)
-    }
-
-    /// Renders the bank as a legacy [`Stats`] registry (sorted,
-    /// zero-valued counters omitted) — byte-identical to what the
-    /// string-keyed hot path used to accumulate.
-    pub fn to_stats(&self) -> Stats {
-        self.iter().collect()
     }
 }
 
@@ -221,26 +209,27 @@ mod tests {
     }
 
     #[test]
-    fn to_stats_matches_legacy_keys_and_omits_zeros() {
+    fn iter_names_nonzero_counters_only() {
         let mut b = CounterBank::new(2);
         b.bump(0, CpuCounter::WriteUpgrade);
         b.bump(1, CpuCounter::SnoopDrain);
         b.bump_retry(RetryCause::SnoopDrain);
-
-        let mut legacy = Stats::new();
-        legacy.incr("cpu0.write_upgrade");
-        legacy.incr("cpu1.snoop_drain");
-        legacy.incr("bus.retry.snoop_drain");
-
-        assert_eq!(b.to_stats(), legacy);
-        assert_eq!(b.to_stats().to_string(), legacy.to_string());
+        let pairs: Vec<(String, u64)> = b.iter().collect();
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "bus.retry.snoop_drain",
+                "cpu0.write_upgrade",
+                "cpu1.snoop_drain"
+            ]
+        );
+        assert!(pairs.iter().all(|&(_, v)| v == 1));
     }
 
     #[test]
-    fn empty_bank_renders_empty_stats() {
-        let b = CounterBank::new(3);
-        assert!(b.to_stats().is_empty());
-        assert_eq!(b.iter().count(), 0);
+    fn empty_bank_iterates_nothing() {
+        assert_eq!(CounterBank::new(3).iter().count(), 0);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl RetryCause {
         RetryCause::Injected,
     ];
 
-    /// The legacy `Stats` key suffix (`bus.retry.<key>`).
+    /// The report key suffix (`bus.retry.<key>`).
     pub fn key(self) -> &'static str {
         match self {
             RetryCause::WriteBuffer => "wb_buffer",

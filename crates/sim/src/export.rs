@@ -9,8 +9,9 @@
 //! relative durations (the thing a timeline is for) are exact.
 //!
 //! The JSON is hand-rolled: the workspace builds against an offline
-//! registry, so there is no serde. [`validate_json`] is a minimal
-//! syntax checker used by the smoke tests and the `hmp-trace` CLI.
+//! registry, so there is no serde. [`parse_json`] reads it back, and
+//! [`validate_json`] wraps it as the syntax check used by the smoke
+//! tests and the `hmp-trace` CLI.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -467,155 +468,12 @@ pub fn timeseries_json(snap: &TimeSeriesSnapshot, profile: Option<&KernelProfile
     out
 }
 
-/// Minimal JSON syntax validation: checks the input is one complete,
-/// well-formed JSON value. Returns the number of *non-whitespace* bytes
-/// consumed, which for an object/array is a cheap non-emptiness proxy.
-///
-/// This is not a full RFC 8259 parser (numbers are accepted loosely);
-/// it exists so smoke tests can validate exporter output without an
-/// external JSON dependency.
+/// Checks that `s` is one complete, well-formed JSON document, as
+/// [`parse_json`] reads it. Returns the document's length in bytes
+/// without trailing whitespace.
 pub fn validate_json(s: &str) -> Result<usize, String> {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-        depth: usize,
-    }
-    impl P<'_> {
-        fn err(&self, msg: &str) -> String {
-            format!("{msg} at byte {}", self.i)
-        }
-        fn ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-        fn peek(&self) -> Option<u8> {
-            self.b.get(self.i).copied()
-        }
-        fn eat(&mut self, c: u8, what: &str) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(self.err(what))
-            }
-        }
-        fn value(&mut self) -> Result<(), String> {
-            self.depth += 1;
-            if self.depth > 256 {
-                return Err(self.err("nesting too deep"));
-            }
-            self.ws();
-            let r = match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => self.string(),
-                Some(b't') => self.literal("true"),
-                Some(b'f') => self.literal("false"),
-                Some(b'n') => self.literal("null"),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(self.err("expected a JSON value")),
-            };
-            self.depth -= 1;
-            r
-        }
-        fn literal(&mut self, lit: &str) -> Result<(), String> {
-            if self.b[self.i..].starts_with(lit.as_bytes()) {
-                self.i += lit.len();
-                Ok(())
-            } else {
-                Err(self.err("bad literal"))
-            }
-        }
-        fn number(&mut self) -> Result<(), String> {
-            let start = self.i;
-            while let Some(c) = self.peek() {
-                if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-                    self.i += 1;
-                } else {
-                    break;
-                }
-            }
-            if self.i == start {
-                Err(self.err("expected a number"))
-            } else {
-                Ok(())
-            }
-        }
-        fn string(&mut self) -> Result<(), String> {
-            self.eat(b'"', "expected '\"'")?;
-            while let Some(c) = self.peek() {
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(()),
-                    b'\\' => {
-                        if self.peek().is_none() {
-                            break;
-                        }
-                        self.i += 1;
-                    }
-                    _ => {}
-                }
-            }
-            Err(self.err("unterminated string"))
-        }
-        fn object(&mut self) -> Result<(), String> {
-            self.eat(b'{', "expected '{'")?;
-            self.ws();
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.ws();
-                self.string()?;
-                self.ws();
-                self.eat(b':', "expected ':'")?;
-                self.value()?;
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        fn array(&mut self) -> Result<(), String> {
-            self.eat(b'[', "expected '['")?;
-            self.ws();
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.value()?;
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(self.err("expected ',' or ']'")),
-                }
-            }
-        }
-    }
-    let mut p = P {
-        b: s.as_bytes(),
-        i: 0,
-        depth: 0,
-    };
-    p.value()?;
-    let consumed = p.i;
-    p.ws();
-    if p.i != s.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(consumed)
+    parse_json(s)?;
+    Ok(s.trim_end_matches(|c: char| c.is_ascii_whitespace()).len())
 }
 
 /// A parsed JSON value. Object keys keep insertion order (`Vec` of
@@ -701,10 +559,9 @@ impl JsonValue {
 
 /// Parses one complete JSON document into a [`JsonValue`] tree.
 ///
-/// Same dialect as [`validate_json`] (numbers accepted loosely, depth
-/// capped at 256) but builds the value so consumers — chiefly the
-/// `bench_compare` regression gate — can walk and diff documents
-/// without an external JSON dependency.
+/// Numbers must parse as `f64`, string escapes must be valid and nesting
+/// is capped at 256. Consumers — chiefly the `bench_compare` regression
+/// gate — walk and diff the tree without an external JSON dependency.
 pub fn parse_json(s: &str) -> Result<JsonValue, String> {
     struct P<'a> {
         b: &'a [u8],

@@ -14,9 +14,7 @@
 //!   caches, snoop logic and CPUs emit `Copy` events; [`NullObserver`]
 //!   compiles to a no-op and [`TraceObserver`] stores events unrendered.
 //! * [`CounterBank`] — enum-indexed activity counters ([`CpuCounter`],
-//!   [`RetryCause`]) that render to the legacy string-keyed [`Stats`]
-//!   registry only when a run finishes.
-//! * [`Stats`] — a string-keyed counter registry for reports.
+//!   [`RetryCause`]) whose dotted report keys are built only on demand.
 //! * [`Span`] / [`SpanTracker`] — per-transaction lifecycle spans stitched
 //!   from the event stream (request → grant → retries → completion).
 //! * [`Hist`] — allocation-free log2-bucketed latency histograms.
@@ -69,7 +67,6 @@ mod metrics;
 mod rng;
 mod schedule;
 mod span;
-mod stats;
 mod timeseries;
 mod watchdog;
 
@@ -87,8 +84,8 @@ pub use metrics::{MetricsObserver, MetricsSnapshot};
 pub use rng::SplitMix64;
 pub use schedule::{EventSchedule, NO_EVENT};
 pub use span::{Span, SpanTracker};
-pub use stats::Stats;
 pub use timeseries::{
-    exposition, KernelMix, KernelProfile, MetricsRegistry, TimeSeriesSnapshot, TimeSeriesSpec,
+    exposition, exposition_header, KernelMix, KernelProfile, MetricsRegistry, TimeSeriesSnapshot,
+    TimeSeriesSpec,
 };
 pub use watchdog::{Watchdog, WatchdogVerdict};

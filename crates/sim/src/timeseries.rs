@@ -529,9 +529,16 @@ pub struct KernelProfile {
     pub mix: Option<KernelMix>,
 }
 
-/// Writes one exposition series: a `# TYPE` header and one sample line
-/// per window, labelled with the window's starting cycle (plus any extra
-/// labels already rendered into `extra`).
+/// Writes the `# HELP` and `# TYPE` lines that open one metric of a
+/// Prometheus-style text exposition. `kind` is the metric type
+/// (`counter`, `gauge`, `histogram`).
+pub fn exposition_header(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// Writes one sample line per window of an exposition series, labelled
+/// with the window's starting cycle (plus any extra labels already
+/// rendered into `extra`).
 fn expo_series(out: &mut String, name: &str, extra: &str, snap: &TimeSeriesSnapshot, s: &[u64]) {
     for (i, v) in s.iter().enumerate() {
         let _ = writeln!(
@@ -548,11 +555,19 @@ fn expo_series(out: &mut String, name: &str, extra: &str, snap: &TimeSeriesSnaps
 /// series carry a `window` label holding the window's starting cycle.
 pub fn exposition(snap: &TimeSeriesSnapshot, profile: Option<&KernelProfile>) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "# HELP hmp_window_cycles Effective window width");
-    let _ = writeln!(out, "# TYPE hmp_window_cycles gauge");
+    exposition_header(
+        &mut out,
+        "hmp_window_cycles",
+        "gauge",
+        "Effective window width",
+    );
     let _ = writeln!(out, "hmp_window_cycles {}", snap.effective_window());
-    let _ = writeln!(out, "# HELP hmp_run_cycles Last simulated cycle");
-    let _ = writeln!(out, "# TYPE hmp_run_cycles counter");
+    exposition_header(
+        &mut out,
+        "hmp_run_cycles",
+        "counter",
+        "Last simulated cycle",
+    );
     let _ = writeln!(out, "hmp_run_cycles {}", snap.end_cycle);
 
     let counters: [(&str, &str, &[u64]); 5] = [
@@ -583,31 +598,39 @@ pub fn exposition(snap: &TimeSeriesSnapshot, profile: Option<&KernelProfile>) ->
         ),
     ];
     for (name, help, series) in counters {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
+        exposition_header(&mut out, name, "counter", help);
         expo_series(&mut out, name, "", snap, series);
     }
 
-    let _ = writeln!(out, "# HELP hmp_grants Bus grants per master per window");
-    let _ = writeln!(out, "# TYPE hmp_grants counter");
+    exposition_header(
+        &mut out,
+        "hmp_grants",
+        "counter",
+        "Bus grants per master per window",
+    );
     for (m, series) in snap.grants.iter().enumerate() {
         let extra = format!("master=\"{m}\",");
         expo_series(&mut out, "hmp_grants", &extra, snap, series);
     }
 
-    let _ = writeln!(
-        out,
-        "# HELP hmp_segment_busy_cycles Busy cycles per segment per window"
+    exposition_header(
+        &mut out,
+        "hmp_segment_busy_cycles",
+        "counter",
+        "Busy cycles per segment per window",
     );
-    let _ = writeln!(out, "# TYPE hmp_segment_busy_cycles counter");
     for (s, series) in snap.occupancy.iter().enumerate() {
         let extra = format!("segment=\"{s}\",");
         expo_series(&mut out, "hmp_segment_busy_cycles", &extra, snap, series);
     }
 
     if let Some(p) = profile {
-        let _ = writeln!(out, "# HELP hmp_kernel_wall_seconds Run-loop wall time");
-        let _ = writeln!(out, "# TYPE hmp_kernel_wall_seconds gauge");
+        exposition_header(
+            &mut out,
+            "hmp_kernel_wall_seconds",
+            "gauge",
+            "Run-loop wall time",
+        );
         let phases = [
             ("total", p.wall_ns),
             ("plan", p.plan_ns),
@@ -622,11 +645,12 @@ pub fn exposition(snap: &TimeSeriesSnapshot, profile: Option<&KernelProfile>) ->
                 ns as f64 / 1e9
             );
         }
-        let _ = writeln!(
-            out,
-            "# HELP hmp_kernel_cycles_per_sec Simulated cycles per wall second"
+        exposition_header(
+            &mut out,
+            "hmp_kernel_cycles_per_sec",
+            "gauge",
+            "Simulated cycles per wall second",
         );
-        let _ = writeln!(out, "# TYPE hmp_kernel_cycles_per_sec gauge");
         let _ = writeln!(out, "hmp_kernel_cycles_per_sec {:.3}", p.cycles_per_sec);
         let steps = [
             ("full", p.full_steps),
@@ -634,8 +658,7 @@ pub fn exposition(snap: &TimeSeriesSnapshot, profile: Option<&KernelProfile>) ->
             ("warped_cycles", p.warped_cycles),
             ("iterations", p.iterations),
         ];
-        let _ = writeln!(out, "# HELP hmp_kernel_steps Kernel step mix");
-        let _ = writeln!(out, "# TYPE hmp_kernel_steps counter");
+        exposition_header(&mut out, "hmp_kernel_steps", "counter", "Kernel step mix");
         for (kind, v) in steps {
             let _ = writeln!(out, "hmp_kernel_steps{{kind=\"{kind}\"}} {v}");
         }
@@ -645,8 +668,12 @@ pub fn exposition(snap: &TimeSeriesSnapshot, profile: Option<&KernelProfile>) ->
                 ("cpu_only", &mix.cpu_only),
                 ("full", &mix.full),
             ];
-            let _ = writeln!(out, "# HELP hmp_kernel_mix Kernel step mix per window");
-            let _ = writeln!(out, "# TYPE hmp_kernel_mix counter");
+            exposition_header(
+                &mut out,
+                "hmp_kernel_mix",
+                "counter",
+                "Kernel step mix per window",
+            );
             for (kind, s) in series {
                 let extra = format!("kind=\"{kind}\",");
                 expo_series(&mut out, "hmp_kernel_mix", &extra, snap, s);
@@ -802,7 +829,92 @@ mod tests {
         let with_prof = exposition(&snap, Some(&profile));
         assert!(with_prof.contains("hmp_kernel_wall_seconds{phase=\"total\"} 0.001000000"));
         assert!(with_prof.contains("hmp_kernel_cycles_per_sec 5000000.000"));
+
+        // Every metric and label shape, byte for byte: scrapers parse it.
+        let full = KernelProfile {
+            kernel: Kernel::FastForward,
+            wall_ns: 1_000_000,
+            plan_ns: 200_000,
+            warp_ns: 300_000,
+            step_ns: 400_000,
+            cpu_only_ns: 50_000,
+            iterations: 7,
+            full_steps: 3,
+            cpu_only_steps: 2,
+            warped_cycles: 10,
+            cycles_per_sec: 5e6,
+            mix: Some(KernelMix {
+                warped: vec![9, 1],
+                cpu_only: vec![0, 2],
+                full: vec![1, 2],
+            }),
+        };
+        assert_eq!(exposition(&snap, Some(&full)), EXPOSITION_BYTES);
     }
+
+    const EXPOSITION_BYTES: &str = r#"# HELP hmp_window_cycles Effective window width
+# TYPE hmp_window_cycles gauge
+hmp_window_cycles 10
+# HELP hmp_run_cycles Last simulated cycle
+# TYPE hmp_run_cycles counter
+hmp_run_cycles 15
+# HELP hmp_bus_busy_cycles Bus busy (grant + data) cycles per window
+# TYPE hmp_bus_busy_cycles counter
+hmp_bus_busy_cycles{window="0"} 3
+hmp_bus_busy_cycles{window="10"} 0
+# HELP hmp_bus_retries Retried (ARTRY) grants per window
+# TYPE hmp_bus_retries counter
+hmp_bus_retries{window="0"} 0
+hmp_bus_retries{window="10"} 0
+# HELP hmp_quarantines Masters quarantined per window
+# TYPE hmp_quarantines counter
+hmp_quarantines{window="0"} 0
+hmp_quarantines{window="10"} 0
+# HELP hmp_bridge_crossings Bridge-crossing transactions per window
+# TYPE hmp_bridge_crossings counter
+hmp_bridge_crossings{window="0"} 0
+hmp_bridge_crossings{window="10"} 0
+# HELP hmp_completions Completed transactions per window
+# TYPE hmp_completions counter
+hmp_completions{window="0"} 0
+hmp_completions{window="10"} 0
+# HELP hmp_grants Bus grants per master per window
+# TYPE hmp_grants counter
+hmp_grants{master="0",window="0"} 0
+hmp_grants{master="0",window="10"} 0
+hmp_grants{master="1",window="0"} 0
+hmp_grants{master="1",window="10"} 0
+# HELP hmp_segment_busy_cycles Busy cycles per segment per window
+# TYPE hmp_segment_busy_cycles counter
+hmp_segment_busy_cycles{segment="0",window="0"} 3
+hmp_segment_busy_cycles{segment="0",window="10"} 0
+hmp_segment_busy_cycles{segment="1",window="0"} 0
+hmp_segment_busy_cycles{segment="1",window="10"} 0
+# HELP hmp_kernel_wall_seconds Run-loop wall time
+# TYPE hmp_kernel_wall_seconds gauge
+hmp_kernel_wall_seconds{phase="total"} 0.001000000
+hmp_kernel_wall_seconds{phase="plan"} 0.000200000
+hmp_kernel_wall_seconds{phase="warp"} 0.000300000
+hmp_kernel_wall_seconds{phase="step"} 0.000400000
+hmp_kernel_wall_seconds{phase="cpu_only"} 0.000050000
+# HELP hmp_kernel_cycles_per_sec Simulated cycles per wall second
+# TYPE hmp_kernel_cycles_per_sec gauge
+hmp_kernel_cycles_per_sec 5000000.000
+# HELP hmp_kernel_steps Kernel step mix
+# TYPE hmp_kernel_steps counter
+hmp_kernel_steps{kind="full"} 3
+hmp_kernel_steps{kind="cpu_only"} 2
+hmp_kernel_steps{kind="warped_cycles"} 10
+hmp_kernel_steps{kind="iterations"} 7
+# HELP hmp_kernel_mix Kernel step mix per window
+# TYPE hmp_kernel_mix counter
+hmp_kernel_mix{kind="warped",window="0"} 9
+hmp_kernel_mix{kind="warped",window="10"} 1
+hmp_kernel_mix{kind="cpu_only",window="0"} 0
+hmp_kernel_mix{kind="cpu_only",window="10"} 2
+hmp_kernel_mix{kind="full",window="0"} 1
+hmp_kernel_mix{kind="full",window="10"} 2
+"#;
 
     #[test]
     #[should_panic(expected = "capacity must be even")]

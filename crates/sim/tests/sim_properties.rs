@@ -6,7 +6,7 @@
 // dev-dependency to run them. Tracking: CHANGES.md (PR 1).
 #![cfg(feature = "proptests")]
 
-use hmp_sim::{ClockDomain, CoreCycle, Cycle, SplitMix64, Stats, Watchdog, WatchdogVerdict};
+use hmp_sim::{ClockDomain, CoreCycle, Cycle, SplitMix64, Watchdog, WatchdogVerdict};
 use proptest::prelude::*;
 
 proptest! {
@@ -45,27 +45,6 @@ proptest! {
         // Ceil rounding never loses time.
         let odd = CoreCycle::new(core.as_u64() + 1);
         prop_assert!(dom.to_bus_ceil(odd) >= Cycle::new(bus));
-    }
-
-    #[test]
-    fn stats_merge_is_addition(
-        pairs in prop::collection::vec(("[a-c]", 0u64..100), 0..20),
-    ) {
-        let mut left = Stats::new();
-        let mut right = Stats::new();
-        let mut total = Stats::new();
-        for (i, (k, v)) in pairs.iter().enumerate() {
-            if i % 2 == 0 {
-                left.add(k, *v);
-            } else {
-                right.add(k, *v);
-            }
-            total.add(k, *v);
-        }
-        left.merge(&right);
-        for (k, v) in total.iter() {
-            prop_assert_eq!(left.get(k), v);
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use hmp::core::{SnoopLogic, Wrapper, WrapperPolicy};
 use hmp::cpu::{Cpu, Program};
 use hmp::mem::{Addr, LatencyModel, Memory, MemoryMap};
 use hmp::platform::{PlatformSpec, Report, RunResult};
-use hmp::sim::{MetricsObserver, SpanTracker, SplitMix64, Stats, Watchdog};
+use hmp::sim::{CounterBank, MetricsObserver, SpanTracker, SplitMix64, Watchdog};
 
 fn assert_send<T: Send>() {}
 fn assert_sync<T: Sync>() {}
@@ -29,7 +29,7 @@ fn simulation_types_are_send() {
     assert_send::<RunResult>();
     assert_send::<Report>();
     assert_send::<SplitMix64>();
-    assert_send::<Stats>();
+    assert_send::<CounterBank>();
     assert_send::<SpanTracker>();
     assert_send::<MetricsObserver>();
     assert_send::<Watchdog>();
@@ -45,7 +45,7 @@ fn data_types_are_sync() {
     assert_sync::<WrapperPolicy>();
     assert_sync::<BusStats>();
     assert_sync::<RunResult>();
-    assert_sync::<Stats>();
+    assert_sync::<CounterBank>();
 }
 
 /// The facade exposes every subsystem under its expected module name.

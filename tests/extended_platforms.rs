@@ -7,6 +7,7 @@ use hmp::core::PlatformClass;
 use hmp::cpu::{LockKind, LockLayout, ProgramBuilder};
 use hmp::mem::{MemAttr, Region};
 use hmp::platform::{layout, presets, CpuSpec, MemLayout, PlatformSpec, Strategy, System};
+use hmp::sim::CpuCounter;
 
 /// Intel486 + PowerPC755 with the shared window marked *write-through*:
 /// the 486's lines follow the SI protocol, every store goes straight to
@@ -60,7 +61,10 @@ fn intel486_write_through_shared_window() {
     // WT region, so nobody holds a dirty copy at the end.
     assert_eq!(sys.cache(0).dirty_lines(), 0);
     assert_eq!(sys.cache(1).dirty_lines(), 0);
-    assert!(result.stats.get("cpu0.write_through") >= 1, "{result}");
+    assert!(
+        result.stats.get(0, CpuCounter::WriteThrough) >= 1,
+        "{result}"
+    );
 }
 
 /// Homogeneous MOESI pair: a snooped read of a dirty line is served
@@ -92,7 +96,7 @@ fn moesi_cache_to_cache_supply() {
         0xCAFE,
         "cache-to-cache supply must not update memory"
     );
-    assert!(result.stats.get("cpu0.cache_to_cache") >= 1);
+    assert!(result.stats.get(0, CpuCounter::CacheToCache) >= 1);
 }
 
 /// The Owned line must still reach memory when it is finally evicted.

@@ -6,6 +6,7 @@ use hmp::cache::ProtocolKind;
 use hmp::cpu::{LockKind, LockLayout, ProgramBuilder};
 use hmp::mem::{Addr, MemAttr, MemoryMap, Region};
 use hmp::platform::{presets, CpuSpec, MemLayout, PlatformSpec, Strategy, System};
+use hmp::sim::CpuCounter;
 
 /// Two MESI caches both hold the line Shared and race their upgrade
 /// broadcasts: the loser's line is invalidated while its upgrade waits,
@@ -37,7 +38,10 @@ fn racing_upgrades_fall_back_to_write_miss() {
         let mut sys = presets::instantiate(&spec, Strategy::Proposed, vec![p0, p1]);
         let result = sys.run(100_000);
         assert!(result.is_clean_completion(), "offset {offset}: {result}");
-        if result.stats.get("cpu0.upgrade_lost") + result.stats.get("cpu1.upgrade_lost") > 0 {
+        if result.stats.get(0, CpuCounter::UpgradeLost)
+            + result.stats.get(1, CpuCounter::UpgradeLost)
+            > 0
+        {
             race_seen = true;
         }
         // Whoever wrote last owns the line; the other copy is gone.
@@ -74,7 +78,7 @@ fn write_through_miss_does_not_allocate() {
     assert!(result.is_clean_completion(), "{result}");
     assert_eq!(sys.memory().read_word(x), 0x77);
     assert!(!sys.cache(0).contains(x), "no write-allocate on WT lines");
-    assert_eq!(result.stats.get("cpu0.write_no_allocate"), 1);
+    assert_eq!(result.stats.get(0, CpuCounter::WriteNoAllocate), 1);
 }
 
 /// A scratch bus device: reads pop an incrementing sequence, writes set
@@ -127,8 +131,8 @@ fn custom_device_round_trip() {
     sys.add_device(Box::new(Mailbox { next: 0 }));
     let result = sys.run(10_000);
     assert!(result.is_clean_completion(), "{result}");
-    assert_eq!(result.stats.get("cpu0.uncached_read"), 2);
-    assert_eq!(result.stats.get("cpu0.uncached_write"), 1);
+    assert_eq!(result.stats.get(0, CpuCounter::UncachedRead), 2);
+    assert_eq!(result.stats.get(0, CpuCounter::UncachedWrite), 1);
     // Device state advanced past the two reads.
     // (Observable indirectly: a fresh system read would yield 102 — here
     // we just confirm the program consumed both reads without stalling.)
@@ -156,7 +160,7 @@ fn msi_upgrade_without_contention() {
     assert!(result.is_clean_completion(), "{result}");
     // MSI read-fills Shared, so the store needs an upgrade broadcast even
     // with nobody else caching the line.
-    assert_eq!(result.stats.get("cpu0.write_upgrade"), 1);
+    assert_eq!(result.stats.get(0, CpuCounter::WriteUpgrade), 1);
     assert_eq!(
         sys.cache(0).line_state(x),
         Some(hmp::cache::LineState::Modified)
