@@ -8,7 +8,9 @@ use hmp_mem::Addr;
 /// Devices live in [`hmp_mem::MemAttr::Device`] windows; the platform
 /// routes completed single-word bus transactions to them instead of the
 /// memory controller. Device accesses take the bus's single-word latency.
-pub trait BusDevice: fmt::Debug {
+///
+/// Devices are `Send` so a platform can move to another thread.
+pub trait BusDevice: fmt::Debug + Send {
     /// Human-readable device name for traces.
     fn name(&self) -> &str;
 

@@ -5,7 +5,7 @@
 //! * [`Addr`] — byte addresses with word/line alignment helpers. The
 //!   platform is word-oriented (32-bit words, 8-word / 32-byte cache lines,
 //!   matching the paper's "burst (8 words)" in Table 4).
-//! * [`Memory`] — a flat, word-addressed physical memory that stores real
+//! * [`Memory`] — a paged, word-addressed physical memory that stores real
 //!   data values. Storing data (rather than only modelling timing) is what
 //!   lets the test suite *detect stale reads* — the exact failure the
 //!   paper's Tables 2 and 3 illustrate.

@@ -1,6 +1,6 @@
 //! Golden-memory coherence checking.
 
-use hmp_mem::Addr;
+use hmp_mem::{Addr, Memory};
 use hmp_sim::Cycle;
 
 /// One detected stale read.
@@ -43,9 +43,12 @@ impl core::fmt::Display for Violation {
 /// stale reads those tables illustrate; running the wrapped platform
 /// reports none — that contrast is the core correctness test of this
 /// reproduction.
+///
+/// The image is a paged [`Memory`], so it holds and resets only the pages
+/// a run writes.
 #[derive(Debug, Clone)]
 pub struct CoherenceChecker {
-    golden: Vec<u32>,
+    golden: Memory,
     violations: Vec<Violation>,
     checked_reads: u64,
     max_recorded: usize,
@@ -54,32 +57,36 @@ pub struct CoherenceChecker {
 impl CoherenceChecker {
     /// Creates a checker for a memory of `size_bytes`, keeping at most
     /// `max_recorded` violation records (counting continues past that).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size_bytes` is not a multiple of the line size.
     pub fn new(size_bytes: u32, max_recorded: usize) -> Self {
         CoherenceChecker {
-            golden: vec![0; (size_bytes / 4) as usize],
+            golden: Memory::new(size_bytes),
             violations: Vec::new(),
             checked_reads: 0,
             max_recorded,
         }
     }
 
-    /// Cross-run reset: zeroes the golden image and forgets recorded
-    /// violations, reusing both allocations.
+    /// Cross-run reset: zeroes the golden image's written pages and
+    /// forgets recorded violations, reusing both allocations.
     pub fn reset(&mut self) {
-        self.golden.fill(0);
+        self.golden.reset();
         self.violations.clear();
         self.checked_reads = 0;
     }
 
     /// Records a committed write of `value` to `addr`.
     pub fn on_write(&mut self, addr: Addr, value: u32) {
-        self.golden[addr.word_index()] = value;
+        self.golden.write_word(addr, value);
     }
 
     /// Checks a committed read; records a violation if stale.
     pub fn on_read(&mut self, at: Cycle, cpu: usize, addr: Addr, got: u32) {
         self.checked_reads += 1;
-        let expected = self.golden[addr.word_index()];
+        let expected = self.golden.read_word(addr);
         if expected != got {
             if self.violations.len() < self.max_recorded {
                 self.violations.push(Violation {
@@ -98,7 +105,7 @@ impl CoherenceChecker {
 
     /// The current golden value of a word.
     pub fn golden(&self, addr: Addr) -> u32 {
-        self.golden[addr.word_index()]
+        self.golden.read_word(addr)
     }
 
     /// Recorded violations (bounded by the construction limit).

@@ -361,10 +361,11 @@ impl<O: Observer> System<O> {
 
     /// Reset-don't-drop: rebuilds this platform for a fresh run of
     /// `spec`, reusing every allocation the constructor made — nodes,
-    /// caches, CAM storage, the bus's drain queues and masks, the golden
-    /// memory image, metrics and timeseries rings, phase scratch and the
-    /// event schedule. Returns `false` (leaving the platform untouched)
-    /// when `spec` differs from the built one in *shape*: processor roster,
+    /// caches, CAM storage, the bus's drain queues and masks, the memory
+    /// and golden images, metrics and timeseries rings, phase scratch and
+    /// the event schedule. Returns `Err(programs)`, handing the programs
+    /// back and leaving the platform untouched, when `spec` differs from
+    /// the built one in *shape*: processor roster,
     /// memory size, lock layout, wrapper mode, fabric topology, or which
     /// observability layers are armed. Everything that doesn't change an
     /// allocation — memory timing, the address map's attributes,
@@ -380,6 +381,11 @@ impl<O: Observer> System<O> {
     /// defaults; re-apply [`System::set_kernel`] /
     /// [`System::set_snoop_logic_enabled`] as the constructor's callers do.
     ///
+    /// The memory and golden images are paged: a reset zeroes only the
+    /// pages earlier runs wrote and keeps them mapped, so it costs what
+    /// the runs touched, not the memory size. A run maps each page on its
+    /// first write; a rerun that writes the same pages allocates nothing.
+    ///
     /// A fault schedule is the one exception to "no allocation": arming
     /// one rebuilds the boxed fault engine, exactly as construction would.
     /// Fault-free resets — the entire perf-sweep path — allocate nothing.
@@ -387,7 +393,11 @@ impl<O: Observer> System<O> {
     /// # Panics
     ///
     /// Panics if the program count does not match the CPU count.
-    pub fn try_reset(&mut self, spec: &PlatformSpec, programs: Vec<Program>) -> bool {
+    pub fn try_reset(
+        &mut self,
+        spec: &PlatformSpec,
+        programs: Vec<Program>,
+    ) -> Result<(), Vec<Program>> {
         assert_eq!(programs.len(), spec.cpus.len(), "one program per processor");
         let built = &self.spec;
         let same_shape = built.cpus == spec.cpus
@@ -403,7 +413,7 @@ impl<O: Observer> System<O> {
             && built.bridge_latency == spec.bridge_latency
             && built.recovery_overrides == spec.recovery_overrides;
         if !same_shape {
-            return false;
+            return Err(programs);
         }
         // Shape matched: record the run-to-run scalars so a later reset
         // compares against what is actually in force.
@@ -474,7 +484,7 @@ impl<O: Observer> System<O> {
         self.bus_sched_dirty = true;
         self.profile = spec.profile;
         self.prof = ProfCounters::default();
-        true
+        Ok(())
     }
 
     /// Disables the TAG-CAM snoop logic (used by the cache-disabled and

@@ -451,7 +451,7 @@ fn steady_state_stepping_with_null_observer_does_not_allocate() {
     let next = programs(1);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     assert!(
-        sys.try_reset(&spec, next),
+        sys.try_reset(&spec, next).is_ok(),
         "an identical shape must reuse the platform"
     );
     for _ in 0..1_500 {

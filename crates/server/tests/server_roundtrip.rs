@@ -10,6 +10,7 @@ use hmp_workloads::{codec, MicrobenchParams, RunSpec, Scenario};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn start(cache_dir: Option<PathBuf>) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
     let server = Server::bind(&ServerConfig {
@@ -155,6 +156,37 @@ fn run_executes_then_hits_memory_with_identical_bytes() {
     // A semantically different job (new seed) misses.
     let third = roundtrip(&addr, &[run_request(&spec(2))]);
     assert_eq!(field_u64(third.last().unwrap(), "executed"), 1);
+    stop(&addr, handle);
+}
+
+#[test]
+fn repeated_jobs_on_one_connection_do_not_stall() {
+    let (addr, handle) = start(None);
+    let request = run_request(&spec(3));
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = BufWriter::new(stream.try_clone().expect("clone"));
+    let mut reader = BufReader::new(stream);
+    let mut times = Vec::new();
+    for _ in 0..10 {
+        let started = Instant::now();
+        writer.write_all(request.as_bytes()).expect("send");
+        writer.write_all(b"\n").expect("send");
+        writer.flush().expect("send");
+        let mut line = String::new();
+        while !line.contains(r#""event":"done""#) {
+            line.clear();
+            assert!(reader.read_line(&mut line).expect("recv") > 0, "closed");
+        }
+        times.push(started.elapsed());
+    }
+    // The first job executes; the rest are memory hits whose replies
+    // must not wait out the client's delayed ACK.
+    let slowest = times[1..].iter().max().unwrap();
+    assert!(
+        *slowest < Duration::from_millis(20),
+        "a repeated job took {slowest:?}: {times:?}"
+    );
+    drop((writer, reader));
     stop(&addr, handle);
 }
 

@@ -365,26 +365,19 @@ impl Runner {
             &lay,
             pspec.cpus.len(),
         );
-        let reused = match &mut self.sys {
-            Some(sys) => sys.try_reset(&pspec, programs),
-            None => false,
+        let refused = match &mut self.sys {
+            Some(sys) => sys.try_reset(&pspec, programs).err(),
+            None => Some(programs),
         };
-        if reused {
-            self.reuses += 1;
-        } else {
-            // Shape changed (or first run): the programs above are gone
-            // either way — consumed by the refused reset or unusable past
-            // the match — so rebuild them along with the platform. Rare
-            // by design; the steady state is the reuse arm.
-            let programs = build_programs_for(
-                spec.scenario,
-                spec.strategy,
-                &spec.params,
-                &lay,
-                pspec.cpus.len(),
-            );
-            self.sys = Some(System::new(&pspec, programs));
-            self.rebuilds += 1;
+        match refused {
+            None => self.reuses += 1,
+            // Shape changed (or first run): build the platform around the
+            // programs handed back. Rare by design; the steady state is
+            // the reuse arm.
+            Some(programs) => {
+                self.sys = Some(System::new(&pspec, programs));
+                self.rebuilds += 1;
+            }
         }
         let sys = self.sys.as_mut().expect("platform just built or reset");
         sys.set_snoop_logic_enabled(spec.strategy == Strategy::Proposed);
@@ -430,6 +423,32 @@ mod tests {
         // switch changes the lock layout and forces one rebuild.
         assert_eq!(runner.rebuilds(), 2);
         assert_eq!(runner.reuses(), 2 * (Strategy::ALL.len() as u64) - 2);
+    }
+
+    #[test]
+    fn reuse_after_a_page_heavy_cell_is_byte_identical() {
+        // TCS over 32 lines writes memory the small cell after it never
+        // touches; the reset must leave none of it behind.
+        let heavy = MicrobenchParams {
+            lines_per_iter: 32,
+            ..small()
+        };
+        let mut runner = Runner::new();
+        runner.run(
+            &RunSpec::new(Scenario::Typical, Strategy::Proposed, heavy).on(PlatformPick::I486Ppc),
+        );
+        let spec = RunSpec::new(Scenario::Typical, Strategy::SoftwareDrain, small())
+            .on(PlatformPick::I486Ppc);
+        let fresh = prepare(&spec);
+        let reused = runner.prepare(&spec);
+        assert!(reused.checker().is_some(), "the coherence checker is on");
+        // `assert!`, not `assert_eq!`: a failure would print both images.
+        assert!(
+            reused.memory() == fresh.memory(),
+            "reset memory reads as fresh"
+        );
+        assert_eq!(runner.run(&spec), run(&spec));
+        assert_eq!(runner.rebuilds(), 1, "every cell after the first reused");
     }
 
     #[test]

@@ -5,8 +5,9 @@ use hmp::cache::{DataCache, LineState, ProtocolKind};
 use hmp::core::{SnoopLogic, Wrapper, WrapperPolicy};
 use hmp::cpu::{Cpu, Program};
 use hmp::mem::{Addr, LatencyModel, Memory, MemoryMap};
-use hmp::platform::{PlatformSpec, Report, RunResult};
+use hmp::platform::{PlatformSpec, Report, RunResult, System};
 use hmp::sim::{CounterBank, MetricsObserver, SpanTracker, SplitMix64, Watchdog};
+use hmp::workloads::Runner;
 
 fn assert_send<T: Send>() {}
 fn assert_sync<T: Sync>() {}
@@ -33,6 +34,8 @@ fn simulation_types_are_send() {
     assert_send::<SpanTracker>();
     assert_send::<MetricsObserver>();
     assert_send::<Watchdog>();
+    assert_send::<System>();
+    assert_send::<Runner>();
 }
 
 /// …and the plain-data types are `Sync` too.
