@@ -1,9 +1,10 @@
 //! Simulator performance smoke test: cycles/sec under both kernels.
 //!
 //! Runs WCS/TCS/BCS on all four platform classes under both
-//! [`Kernel::Step`] and [`Kernel::FastForward`], plus the explicitly
-//! event-dense cells (the dense Figure-5 burst corner and a 4-master
-//! FCFS fabric), checks that every cell's two results compare equal,
+//! [`Kernel::Step`](hmp_sim::Kernel::Step) and
+//! [`Kernel::FastForward`](hmp_sim::Kernel::FastForward), plus the
+//! explicitly event-dense cells (the dense Figure-5 burst corner and a
+//! 4-master FCFS fabric), checks that every cell's two results compare equal,
 //! times one full WCS grid under each kernel at both the Figure 5 burst
 //! penalty (13) and the Figure 8 endpoint (96), and writes everything to
 //! `BENCH_PERF.json` — into the `HMP_BENCH_JSON` directory if set, the

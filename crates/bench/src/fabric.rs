@@ -169,8 +169,9 @@ impl FabricCell {
         busy
     }
 
-    /// Telemetry windows the fairness check judges (see
-    /// [`Self::judged_windows`]).
+    /// Telemetry windows the fairness check judges: every window that
+    /// cleared [`Self::window_min_grants`], minus the final busy window
+    /// when there is more than one.
     pub fn busy_windows(&self) -> usize {
         self.judged_windows().len()
     }

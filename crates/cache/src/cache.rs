@@ -221,7 +221,7 @@ impl DataCache {
         addr.line_base().as_u32() / LINE_BYTES / self.config.sets
     }
 
-    fn line_proto(&self, write_through: bool) -> &'static dyn Protocol {
+    fn line_proto(&self, write_through: bool) -> &'static Protocol {
         if write_through {
             ProtocolKind::Si.protocol()
         } else {
@@ -337,7 +337,7 @@ impl DataCache {
                     WriteProbe::HitWriteThrough
                 }
             }
-        } else if write_through || !self.protocol.protocol().allocates_on_write() {
+        } else if write_through {
             WriteProbe::MissNoAllocate
         } else {
             WriteProbe::Miss {
@@ -546,27 +546,34 @@ impl DataCache {
     /// caches cannot see), and a dirty line (`Modified`/`Owned`) decays
     /// to `Shared` (its dirty bit is lost, so the write-back never
     /// happens). Deterministic: the same state always flips the same way.
+    ///
+    /// The target must be a state the line's own protocol holds: MEI has
+    /// no Shared, so its dirty lines decay to `Exclusive` (equally clean,
+    /// equally wrong), and a write-through (SI) line has no dirty state,
+    /// so it is left alone and the flip returns `None`, as for an absent
+    /// line.
     pub fn corrupt_line_state(&mut self, addr: Addr) -> Option<(LineState, LineState)> {
         let way = self.find_way(addr)?;
         let si = self.set_index(addr);
         let line = self.sets[si].ways[way as usize]
-            .as_mut()
+            .as_ref()
             .expect("found way");
-        let before = line.state;
-        // The decayed clean state must be one the protocol's state RAM
-        // can encode: MEI has no Shared, so its dirty lines decay to
-        // Exclusive (equally clean, equally wrong).
-        let clean = if self.protocol.has_state(LineState::Shared) {
-            LineState::Shared
-        } else {
-            LineState::Exclusive
-        };
+        let (before, states) = (line.state, self.line_proto(line.write_through).states());
         let after = match before {
             LineState::Shared | LineState::Exclusive => LineState::Modified,
-            LineState::Modified | LineState::Owned => clean,
+            LineState::Modified | LineState::Owned if states.contains(&LineState::Shared) => {
+                LineState::Shared
+            }
+            LineState::Modified | LineState::Owned => LineState::Exclusive,
             LineState::Invalid => return None,
         };
-        line.state = after;
+        if !states.contains(&after) {
+            return None;
+        }
+        self.sets[si].ways[way as usize]
+            .as_mut()
+            .expect("found way")
+            .state = after;
         Some((before, after))
     }
 
@@ -658,6 +665,19 @@ mod tests {
             Some((LineState::Modified, LineState::Shared)),
             "dirty line loses its dirty bit"
         );
+        // A write-through line follows SI, which has no dirty state.
+        let wt = Addr::new(0x80);
+        c.fill(
+            wt,
+            filled_line(6),
+            Access::Read,
+            false,
+            true,
+            Cycle::ZERO,
+            &mut NullObserver,
+        );
+        assert_eq!(c.corrupt_line_state(wt), None, "SI line: no flip");
+        assert_eq!(c.line_state(wt), Some(LineState::Shared));
     }
 
     #[test]

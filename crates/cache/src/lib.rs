@@ -14,17 +14,19 @@
 //!   to do cache-to-cache supply (paper §2);
 //! * **SI** — the degenerate write-through protocol.
 //!
-//! This crate provides each FSM behind one [`Protocol`] trait, plus
-//! [`DataCache`], a set-associative, LRU, write-back/write-through cache
-//! that stores real data so stale reads are observable. The cache is a
-//! *passive* state container: it never talks to a bus itself. The platform
-//! crate orchestrates probe → bus transaction → fill, and the wrapper
-//! (in `hmp-core`) decides what each snoop port actually observes.
+//! This crate gives each protocol as one [`Protocol`] transition table:
+//! its states and its fill, write-hit and snoop cells, as paper §2 defines
+//! them. It also provides [`DataCache`], a set-associative, LRU,
+//! write-back/write-through cache that stores real data so stale reads are
+//! observable. The cache is a *passive* state container: it never talks to
+//! a bus itself. The platform crate orchestrates probe → bus transaction →
+//! fill, and the wrapper (in `hmp-core`) decides what each snoop port
+//! actually observes.
 //!
 //! # Examples
 //!
 //! ```
-//! use hmp_cache::{Access, LineState, Protocol, ProtocolKind};
+//! use hmp_cache::{Access, LineState, ProtocolKind};
 //!
 //! let mesi = ProtocolKind::Mesi.protocol();
 //! // A read miss with the shared signal deasserted fills Exclusive...
@@ -41,12 +43,10 @@ mod cache;
 mod event;
 mod lru;
 mod protocol;
-mod protocols;
 mod state;
 
 pub use cache::{CacheConfig, DataCache, EvictedLine, ReadProbe, WriteProbe};
 pub use event::{Access, SnoopAction, SnoopOp, SnoopReply, WriteHitOutcome};
 pub use lru::LruOrder;
-pub use protocol::{Protocol, ProtocolKind};
-pub use protocols::{Mei, Mesi, Moesi, Msi, Si};
+pub use protocol::{Protocol, ProtocolKind, SnoopTransition};
 pub use state::LineState;

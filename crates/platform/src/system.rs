@@ -871,7 +871,7 @@ impl<O: Observer> System<O> {
     /// earliest next event across all components, warps to one cycle
     /// before it, and executes the event cycle — through the ordinary
     /// [`System::step`] when the bus can act, through the reduced
-    /// [`System::step_cpu_only`] when the cycle's only events are
+    /// `step_cpu_only` when the cycle's only events are
     /// CPU-local — with identical results to [`Kernel::Step`], cycle for
     /// cycle and counter for counter. Forward progress and the
     /// invariant/watchdog checks happen only on stepped cycles; warped

@@ -2,11 +2,11 @@
 //! no-allocate stores, and custom bus devices.
 
 use hmp::bus::BusDevice;
-use hmp::cache::ProtocolKind;
+use hmp::cache::{LineState, ProtocolKind};
 use hmp::cpu::{LockKind, LockLayout, ProgramBuilder};
 use hmp::mem::{Addr, MemAttr, MemoryMap, Region};
 use hmp::platform::{presets, CpuSpec, MemLayout, PlatformSpec, Strategy, System};
-use hmp::sim::CpuCounter;
+use hmp::sim::{CpuCounter, FaultKind, FaultPlan, FaultSpec};
 
 /// Two MESI caches both hold the line Shared and race their upgrade
 /// broadcasts: the loser's line is invalidated while its upgrade waits,
@@ -51,10 +51,9 @@ fn racing_upgrades_fall_back_to_write_miss() {
     assert!(race_seen, "some offset must lose an upgrade race");
 }
 
-/// A write miss into a write-through window does not allocate: the word
-/// goes straight to memory and the cache stays empty.
-#[test]
-fn write_through_miss_does_not_allocate() {
+/// One MESI CPU whose shared window is write-through; returns the spec
+/// and the window's base.
+fn write_through_spec() -> (PlatformSpec, Addr) {
     let lay = MemLayout::default();
     let mut map = MemoryMap::new();
     map.add(Region::new(
@@ -71,7 +70,14 @@ fn write_through_miss_does_not_allocate() {
     .unwrap();
     let lock = LockLayout::new(LockKind::Turn, lay.lock_base, 1);
     let spec = PlatformSpec::new(vec![CpuSpec::generic("wt", ProtocolKind::Mesi)], map, lock);
-    let x = lay.shared_base;
+    (spec, lay.shared_base)
+}
+
+/// A write miss into a write-through window does not allocate: the word
+/// goes straight to memory and the cache stays empty.
+#[test]
+fn write_through_miss_does_not_allocate() {
+    let (spec, x) = write_through_spec();
     let p = ProgramBuilder::new().write(x, 0x77).build();
     let mut sys = System::new(&spec, vec![p]);
     let result = sys.run(10_000);
@@ -79,6 +85,32 @@ fn write_through_miss_does_not_allocate() {
     assert_eq!(sys.memory().read_word(x), 0x77);
     assert!(!sys.cache(0).contains(x), "no write-allocate on WT lines");
     assert_eq!(result.stats.get(0, CpuCounter::WriteNoAllocate), 1);
+}
+
+/// A state-RAM flip on a write-through line leaves it alone: the line
+/// follows SI, which has no dirty state to promote it to, so the next
+/// store writes through instead of hitting a state SI lacks.
+#[test]
+fn line_state_corrupt_spares_write_through_lines() {
+    let (mut spec, x) = write_through_spec();
+    spec.faults = Some(FaultPlan::from_specs(vec![FaultSpec::new(
+        200,
+        FaultKind::LineStateCorrupt,
+        0,
+        0,
+    )
+    .at_addr(u64::from(x.as_u32()))]));
+    let p = ProgramBuilder::new()
+        .read(x)
+        .delay(400)
+        .write(x, 0x77)
+        .build();
+    let mut sys = System::new(&spec, vec![p]);
+    let result = sys.run(10_000);
+    assert!(result.is_clean_completion(), "{result}");
+    assert_eq!(result.faults_injected, 1);
+    assert_eq!(sys.cache(0).line_state(x), Some(LineState::Shared));
+    assert_eq!(sys.memory().read_word(x), 0x77);
 }
 
 /// A scratch bus device: reads pop an incrementing sequence, writes set

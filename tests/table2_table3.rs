@@ -142,23 +142,29 @@ fn table3_wrapped_msi_mesi_is_coherent() {
     assert_eq!(t.final_p1_value, Some(0xAB));
 }
 
+/// Every ordered pair of write-back protocols through the same sequence.
+/// The paper's wrappers keep each one coherent. Naive integration reads
+/// stale exactly where P1 keeps a copy while P2 fills E and then stores
+/// silently: P1 is MSI, which cannot assert the shared signal, or P2 is
+/// MEI, which ignores it. An MEI P1 gives its copy up on P2's read.
 #[test]
-fn every_mismatched_pair_is_fixed_by_wrappers() {
+fn every_ordered_pair_in_both_wrapper_modes() {
     use ProtocolKind::*;
-    for (a, b) in [
-        (Mesi, Mei),
+    let stale = [
+        (Msi, Mei),
         (Msi, Mesi),
         (Msi, Moesi),
-        (Mesi, Moesi),
+        (Mesi, Mei),
         (Moesi, Mei),
-    ] {
-        let naive = run_sequence(a, b, WrapperMode::Transparent);
-        let wrapped = run_sequence(a, b, WrapperMode::Paper);
-        assert_eq!(wrapped.violations, 0, "{a}+{b} wrapped must be coherent");
-        assert_eq!(wrapped.final_p1_value, Some(0xAB), "{a}+{b}");
-        // Not every naive pairing is broken by THIS sequence (e.g. the
-        // paper's own tables pick specific pairs), but the wrapped run
-        // must never be worse.
-        assert!(naive.violations >= wrapped.violations, "{a}+{b}");
+    ];
+    for p1 in ProtocolKind::WRITE_BACK {
+        for p2 in ProtocolKind::WRITE_BACK {
+            let wrapped = run_sequence(p1, p2, WrapperMode::Paper);
+            assert_eq!(wrapped.violations, 0, "{p1}+{p2} wrapped must be coherent");
+            assert_eq!(wrapped.final_p1_value, Some(0xAB), "{p1}+{p2}");
+            let naive = run_sequence(p1, p2, WrapperMode::Transparent);
+            let reads_stale = naive.violations > 0;
+            assert_eq!(reads_stale, stale.contains(&(p1, p2)), "{p1}+{p2} naive");
+        }
     }
 }
