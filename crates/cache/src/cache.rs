@@ -1,11 +1,11 @@
 //! The set-associative data cache.
 
 use crate::event::{Access, SnoopAction, SnoopOp, SnoopReply, WriteHitOutcome};
-use crate::lru::LruOrder;
 use crate::protocol::{Protocol, ProtocolKind};
 use crate::state::LineState;
 use hmp_mem::{Addr, LINE_BYTES, LINE_WORDS};
 use hmp_sim::{Cycle, Observer, SimEvent, SnoopActionKind};
+use std::ops::Range;
 
 /// Geometry of a data cache. Line size is fixed at the platform's 32
 /// bytes; sets and ways are configurable.
@@ -89,12 +89,30 @@ struct Line {
     /// Write-through lines follow the SI protocol regardless of the
     /// cache's main protocol (Intel486 behaviour, paper §3).
     write_through: bool,
+    /// Recency stamp from the cache's clock, renewed by the fill and by
+    /// every processor-side touch; the smallest stamp in a full set is
+    /// its least recently used line.
+    stamp: u64,
 }
 
-#[derive(Debug, Clone)]
-struct CacheSet {
-    ways: Vec<Option<Line>>,
-    lru: LruOrder,
+impl Line {
+    /// Stores `value` into `addr`'s word as a processor write that moves
+    /// the line to `next`, stamping it most recently used.
+    fn store(&mut self, addr: Addr, value: u32, next: LineState, stamp: u64) {
+        self.data[addr.word_offset_in_line() as usize] = value;
+        self.state = next;
+        self.stamp = stamp;
+    }
+}
+
+/// The protocol a line follows: SI for write-through lines, the cache's
+/// own protocol otherwise.
+fn line_protocol(cache: ProtocolKind, write_through: bool) -> &'static Protocol {
+    if write_through {
+        ProtocolKind::Si.protocol()
+    } else {
+        cache.protocol()
+    }
 }
 
 /// A snooping, set-associative, LRU data cache with real data storage.
@@ -112,6 +130,9 @@ struct CacheSet {
 ///   [`invalidate_line`](DataCache::invalidate_line), used by the software
 ///   solution's explicit drain loop and by the ARM920T's snoop ISR.
 ///
+/// Replacement is true LRU: every fill and processor-side hit stamps its
+/// line from a per-cache clock, and a full set evicts its smallest stamp.
+///
 /// # Examples
 ///
 /// ```
@@ -121,16 +142,20 @@ struct CacheSet {
 ///
 /// let mut c = DataCache::new(CacheConfig::default(), ProtocolKind::Mesi);
 /// let a = Addr::new(0x100);
-/// assert!(matches!(c.probe_read(a, false), ReadProbe::Miss { victim: None }));
+/// assert!(matches!(c.probe_read(a), ReadProbe::Miss { victim: None }));
 /// c.fill(a, [7; 8], Access::Read, false, false, Cycle::ZERO, &mut NullObserver);
 /// assert_eq!(c.line_state(a), Some(LineState::Exclusive));
-/// assert!(matches!(c.probe_read(a, false), ReadProbe::Hit(7)));
+/// assert!(matches!(c.probe_read(a), ReadProbe::Hit(7)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DataCache {
     config: CacheConfig,
     protocol: ProtocolKind,
-    sets: Vec<CacheSet>,
+    /// Every line slot, set-major: set `s` owns slots
+    /// `s * ways .. (s + 1) * ways`.
+    slots: Vec<Option<Line>>,
+    /// Recency clock; each processor-side access takes the next value.
+    clock: u64,
     /// Index of the owning processor, carried in emitted [`SimEvent`]s.
     owner: usize,
     /// Per-bucket valid-line counts for the occupancy filter
@@ -164,33 +189,24 @@ impl DataCache {
             protocol != ProtocolKind::Si,
             "SI is a per-line policy, not a cache protocol"
         );
-        let sets = (0..config.sets)
-            .map(|_| CacheSet {
-                ways: (0..config.ways).map(|_| None).collect(),
-                lru: LruOrder::new(config.ways),
-            })
-            .collect();
         DataCache {
             config,
             protocol,
-            sets,
+            slots: vec![None; (config.sets * config.ways) as usize],
+            clock: 0,
             owner: 0,
             occupancy: [0; FILTER_BUCKETS],
             occupied: 0,
         }
     }
 
-    /// Empties the cache in place — every line invalid, LRU orders back
-    /// to construction state, occupancy filter zeroed — reusing all
-    /// storage. Dirty data is dropped without write-back: this is a
-    /// cross-run reset, not a coherence operation.
+    /// Empties the cache in place — every line invalid, the recency clock
+    /// and the occupancy filter zeroed — reusing all storage. Dirty data
+    /// is dropped without write-back: this is a cross-run reset, not a
+    /// coherence operation.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            for way in &mut set.ways {
-                *way = None;
-            }
-            set.lru.reset();
-        }
+        self.slots.fill(None);
+        self.clock = 0;
         self.occupancy = [0; FILTER_BUCKETS];
         self.occupied = 0;
     }
@@ -213,20 +229,21 @@ impl DataCache {
         self.protocol
     }
 
-    fn set_index(&self, addr: Addr) -> usize {
-        ((addr.line_base().as_u32() / LINE_BYTES) % self.config.sets) as usize
+    /// The slots of the set `addr` maps to.
+    fn set_slots(&self, addr: Addr) -> Range<usize> {
+        let set = (addr.line_base().as_u32() / LINE_BYTES) % self.config.sets;
+        let ways = self.config.ways as usize;
+        set as usize * ways..(set as usize + 1) * ways
     }
 
     fn tag(&self, addr: Addr) -> u32 {
         addr.line_base().as_u32() / LINE_BYTES / self.config.sets
     }
 
-    fn line_proto(&self, write_through: bool) -> &'static Protocol {
-        if write_through {
-            ProtocolKind::Si.protocol()
-        } else {
-            self.protocol.protocol()
-        }
+    /// Line-aligned base address of the line held in slot `slot`.
+    fn line_base(&self, slot: usize, tag: u32) -> Addr {
+        let set = (slot / self.config.ways as usize) as u32;
+        Addr::new((tag * self.config.sets + set) * LINE_BYTES)
     }
 
     /// The occupancy-filter bucket a line hashes to.
@@ -258,92 +275,97 @@ impl DataCache {
         self.occupied & (1 << Self::filter_bucket(addr)) != 0
     }
 
-    fn find_way(&self, addr: Addr) -> Option<u32> {
+    /// The slot holding the line containing `addr`, if present.
+    fn find(&self, addr: Addr) -> Option<usize> {
         let tag = self.tag(addr);
-        let set = &self.sets[self.set_index(addr)];
-        set.ways
+        let set = self.set_slots(addr);
+        let start = set.start;
+        self.slots[set]
             .iter()
-            .enumerate()
-            .find_map(|(i, l)| l.as_ref().filter(|l| l.tag == tag).map(|_| i as u32))
+            .position(|l| l.as_ref().is_some_and(|l| l.tag == tag))
+            .map(|way| start + way)
+    }
+
+    fn line(&self, addr: Addr) -> Option<&Line> {
+        let slot = self.find(addr)?;
+        self.slots[slot].as_ref()
+    }
+
+    fn line_mut(&mut self, addr: Addr) -> Option<&mut Line> {
+        let slot = self.find(addr)?;
+        self.slots[slot].as_mut()
+    }
+
+    /// Removes the line containing `addr`, releasing its filter count.
+    fn remove(&mut self, addr: Addr) -> Option<Line> {
+        let slot = self.find(addr)?;
+        let line = self.slots[slot].take()?;
+        self.filter_remove(addr);
+        Some(line)
+    }
+
+    /// Advances the recency clock and returns the new stamp.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
     }
 
     /// Evicts to guarantee a free way in `addr`'s set; returns the victim
-    /// if a valid line had to leave.
+    /// if a valid line had to leave. Every line of a full set was stamped
+    /// by its fill and restamped on each touch, so its smallest stamp is
+    /// the least recently used line.
     fn make_room(&mut self, addr: Addr) -> Option<EvictedLine> {
-        let si = self.set_index(addr);
-        let sets_count = self.config.sets;
-        let set = &mut self.sets[si];
-        if set.ways.iter().any(|w| w.is_none()) {
+        let set = self.set_slots(addr);
+        let start = set.start;
+        let slots = &mut self.slots[set];
+        if slots.iter().any(Option::is_none) {
             return None;
         }
-        let victim_way = set.lru.victim();
-        let line = set.ways[victim_way as usize]
-            .take()
-            .expect("victim way is occupied when the set is full");
-        let base = (line.tag * sets_count + si as u32) * LINE_BYTES;
-        self.filter_remove(Addr::new(base));
+        let way = (0..slots.len()).min_by_key(|&w| slots[w].as_ref().map(|l| l.stamp))?;
+        let line = slots[way].take()?;
+        let base = self.line_base(start + way, line.tag);
+        self.filter_remove(base);
         Some(EvictedLine {
-            addr: Addr::new(base),
+            addr: base,
             dirty: line.state.is_dirty(),
             data: line.data,
         })
     }
 
-    /// Processor-side read. `write_through` gives the region's line policy
-    /// in case the access misses and a later [`fill`](DataCache::fill)
-    /// allocates.
-    pub fn probe_read(&mut self, addr: Addr, write_through: bool) -> ReadProbe {
-        let _ = write_through; // policy only matters at fill time
-        if let Some(way) = self.find_way(addr) {
-            let si = self.set_index(addr);
-            let set = &mut self.sets[si];
-            set.lru.touch(way);
-            let line = set.ways[way as usize].as_ref().expect("found way");
-            return ReadProbe::Hit(line.data[addr.word_offset_in_line() as usize]);
-        }
-        ReadProbe::Miss {
-            victim: self.make_room(addr),
+    /// Processor-side read. A miss frees a way for the
+    /// [`fill`](DataCache::fill) that follows.
+    pub fn probe_read(&mut self, addr: Addr) -> ReadProbe {
+        let stamp = self.tick();
+        match self.line_mut(addr) {
+            Some(line) => {
+                line.stamp = stamp;
+                ReadProbe::Hit(line.data[addr.word_offset_in_line() as usize])
+            }
+            None => ReadProbe::Miss {
+                victim: self.make_room(addr),
+            },
         }
     }
 
     /// Processor-side write of `value` to the word at `addr`.
     pub fn probe_write(&mut self, addr: Addr, value: u32, write_through: bool) -> WriteProbe {
-        if let Some(way) = self.find_way(addr) {
-            let si = self.set_index(addr);
-            let wt = self.sets[si].ways[way as usize]
-                .as_ref()
-                .expect("found way")
-                .write_through;
-            let state = self.sets[si].ways[way as usize]
-                .as_ref()
-                .expect("found way")
-                .state;
-            match self.line_proto(wt).write_hit(state) {
-                WriteHitOutcome::Local(next) => {
-                    let set = &mut self.sets[si];
-                    set.lru.touch(way);
-                    let line = set.ways[way as usize].as_mut().expect("found way");
-                    line.data[addr.word_offset_in_line() as usize] = value;
-                    line.state = next;
-                    WriteProbe::Hit
+        let (kind, stamp) = (self.protocol, self.tick());
+        let Some(line) = self.line_mut(addr) else {
+            return if write_through {
+                WriteProbe::MissNoAllocate
+            } else {
+                WriteProbe::Miss {
+                    victim: self.make_room(addr),
                 }
-                WriteHitOutcome::NeedsUpgrade(_) => WriteProbe::HitNeedsUpgrade,
-                WriteHitOutcome::WriteThrough(next) => {
-                    let set = &mut self.sets[si];
-                    set.lru.touch(way);
-                    let line = set.ways[way as usize].as_mut().expect("found way");
-                    line.data[addr.word_offset_in_line() as usize] = value;
-                    line.state = next;
-                    WriteProbe::HitWriteThrough
-                }
-            }
-        } else if write_through {
-            WriteProbe::MissNoAllocate
-        } else {
-            WriteProbe::Miss {
-                victim: self.make_room(addr),
-            }
-        }
+            };
+        };
+        let (next, probe) = match line_protocol(kind, line.write_through).write_hit(line.state) {
+            WriteHitOutcome::NeedsUpgrade(_) => return WriteProbe::HitNeedsUpgrade,
+            WriteHitOutcome::Local(next) => (next, WriteProbe::Hit),
+            WriteHitOutcome::WriteThrough(next) => (next, WriteProbe::HitWriteThrough),
+        };
+        line.store(addr, value, next, stamp);
+        probe
     }
 
     /// Installs a line after the bus fetched it. `access` and
@@ -367,27 +389,22 @@ impl DataCache {
         obs: &mut impl Observer,
     ) {
         assert!(
-            self.find_way(addr).is_none(),
+            self.find(addr).is_none(),
             "fill of already-present line {addr}"
         );
-        let state = self
-            .line_proto(write_through)
-            .fill_state(access, shared_signal);
-        let tag = self.tag(addr);
-        let si = self.set_index(addr);
-        let set = &mut self.sets[si];
-        let way = set
-            .ways
-            .iter()
-            .position(|w| w.is_none())
-            .expect("a free way must exist at fill time") as u32;
-        set.ways[way as usize] = Some(Line {
-            tag,
-            state,
+        let line = Line {
+            tag: self.tag(addr),
+            state: line_protocol(self.protocol, write_through).fill_state(access, shared_signal),
             data,
             write_through,
-        });
-        set.lru.touch(way);
+            stamp: self.tick(),
+        };
+        let set = self.set_slots(addr);
+        let free = self.slots[set]
+            .iter_mut()
+            .find(|slot| slot.is_none())
+            .expect("a free way must exist at fill time");
+        *free = Some(line);
         self.filter_add(addr);
         obs.on_event(
             at,
@@ -405,11 +422,7 @@ impl DataCache {
     ///
     /// Panics if the line is absent.
     pub fn commit_write(&mut self, addr: Addr, value: u32) {
-        let way = self.find_way(addr).expect("commit_write on absent line");
-        let si = self.set_index(addr);
-        let line = self.sets[si].ways[way as usize]
-            .as_mut()
-            .expect("found way");
+        let line = self.line_mut(addr).expect("commit_write on absent line");
         line.data[addr.word_offset_in_line() as usize] = value;
     }
 
@@ -420,38 +433,19 @@ impl DataCache {
     /// was waiting for the bus — the caller must restart the store as a
     /// write miss.
     pub fn complete_upgrade(&mut self, addr: Addr, value: u32) -> bool {
-        let Some(way) = self.find_way(addr) else {
+        let (kind, stamp) = (self.protocol, self.tick());
+        let Some(line) = self.line_mut(addr) else {
             return false;
         };
-        let si = self.set_index(addr);
-        let wt = self.sets[si].ways[way as usize]
-            .as_ref()
-            .expect("found way")
-            .write_through;
-        let state = self.sets[si].ways[way as usize]
-            .as_ref()
-            .expect("found way")
-            .state;
-        match self.line_proto(wt).write_hit(state) {
-            WriteHitOutcome::NeedsUpgrade(next) => {
-                let set = &mut self.sets[si];
-                set.lru.touch(way);
-                let line = set.ways[way as usize].as_mut().expect("found way");
-                line.state = next;
-                line.data[addr.word_offset_in_line() as usize] = value;
-                true
-            }
-            // The line state changed (e.g. someone drained us to a state
-            // that can now take the write silently) — commit directly.
-            WriteHitOutcome::Local(next) | WriteHitOutcome::WriteThrough(next) => {
-                let set = &mut self.sets[si];
-                set.lru.touch(way);
-                let line = set.ways[way as usize].as_mut().expect("found way");
-                line.state = next;
-                line.data[addr.word_offset_in_line() as usize] = value;
-                true
-            }
-        }
+        // A line whose state changed while the upgrade waited (e.g. a
+        // drain left it in a state that takes the write silently) commits
+        // the same way as the upgraded one.
+        let (WriteHitOutcome::NeedsUpgrade(next)
+        | WriteHitOutcome::Local(next)
+        | WriteHitOutcome::WriteThrough(next)) =
+            line_protocol(kind, line.write_through).write_hit(line.state);
+        line.store(addr, value, next, stamp);
+        true
     }
 
     /// Presents a (wrapper-translated) bus operation to the snoop port.
@@ -467,21 +461,17 @@ impl DataCache {
         at: Cycle,
         obs: &mut impl Observer,
     ) -> Option<SnoopReply> {
-        let way = self.find_way(addr)?;
-        let si = self.set_index(addr);
-        let (old_state, wt, data) = {
-            let line = self.sets[si].ways[way as usize]
-                .as_ref()
-                .expect("found way");
-            (line.state, line.write_through, line.data)
-        };
-        let t = self.line_proto(wt).snoop(old_state, op);
-        let set = &mut self.sets[si];
+        let kind = self.protocol;
+        let found = self.find(addr)?;
+        let slot = &mut self.slots[found];
+        let line = slot.as_mut()?;
+        let (old_state, data) = (line.state, line.data);
+        let t = line_protocol(kind, line.write_through).snoop(old_state, op);
         if t.next == LineState::Invalid {
-            set.ways[way as usize] = None;
+            *slot = None;
             self.filter_remove(addr);
         } else {
-            set.ways[way as usize].as_mut().expect("found way").state = t.next;
+            line.state = t.next;
         }
         let carries_data = !matches!(t.action, SnoopAction::None);
         obs.on_event(
@@ -512,10 +502,7 @@ impl DataCache {
     /// This is the PowerPC `dcbf`-style operation the software solution and
     /// the ARM920T's snoop ISR use.
     pub fn flush_line(&mut self, addr: Addr) -> Option<(bool, [u32; LINE_WORDS as usize])> {
-        let way = self.find_way(addr)?;
-        let si = self.set_index(addr);
-        let line = self.sets[si].ways[way as usize].take().expect("found way");
-        self.filter_remove(addr);
+        let line = self.remove(addr)?;
         Some((line.state.is_dirty(), line.data))
     }
 
@@ -526,14 +513,11 @@ impl DataCache {
     /// Panics if the line is dirty — silently dropping dirty data is a
     /// coherence bug; use [`flush_line`](DataCache::flush_line).
     pub fn invalidate_line(&mut self, addr: Addr) {
-        if let Some(way) = self.find_way(addr) {
-            let si = self.set_index(addr);
-            let line = self.sets[si].ways[way as usize].take().expect("found way");
+        if let Some(line) = self.remove(addr) {
             assert!(
                 !line.state.is_dirty(),
                 "invalidate_line would drop dirty data at {addr}"
             );
-            self.filter_remove(addr);
         }
     }
 
@@ -553,12 +537,9 @@ impl DataCache {
     /// so it is left alone and the flip returns `None`, as for an absent
     /// line.
     pub fn corrupt_line_state(&mut self, addr: Addr) -> Option<(LineState, LineState)> {
-        let way = self.find_way(addr)?;
-        let si = self.set_index(addr);
-        let line = self.sets[si].ways[way as usize]
-            .as_ref()
-            .expect("found way");
-        let (before, states) = (line.state, self.line_proto(line.write_through).states());
+        let kind = self.protocol;
+        let line = self.line_mut(addr)?;
+        let (before, states) = (line.state, line_protocol(kind, line.write_through).states());
         let after = match before {
             LineState::Shared | LineState::Exclusive => LineState::Modified,
             LineState::Modified | LineState::Owned if states.contains(&LineState::Shared) => {
@@ -570,49 +551,32 @@ impl DataCache {
         if !states.contains(&after) {
             return None;
         }
-        self.sets[si].ways[way as usize]
-            .as_mut()
-            .expect("found way")
-            .state = after;
+        line.state = after;
         Some((before, after))
     }
 
     /// Coherence state of the line containing `addr`, if present.
     pub fn line_state(&self, addr: Addr) -> Option<LineState> {
-        self.find_way(addr).map(|way| {
-            self.sets[self.set_index(addr)].ways[way as usize]
-                .as_ref()
-                .expect("found way")
-                .state
-        })
+        self.line(addr).map(|l| l.state)
     }
 
     /// Returns `true` if the line containing `addr` is present.
     pub fn contains(&self, addr: Addr) -> bool {
-        self.find_way(addr).is_some()
+        self.find(addr).is_some()
     }
 
     /// Reads a word without touching LRU or state — for checkers and tests.
     pub fn peek_word(&self, addr: Addr) -> Option<u32> {
-        self.find_way(addr).map(|way| {
-            self.sets[self.set_index(addr)].ways[way as usize]
-                .as_ref()
-                .expect("found way")
-                .data[addr.word_offset_in_line() as usize]
-        })
+        self.line(addr)
+            .map(|l| l.data[addr.word_offset_in_line() as usize])
     }
 
     /// Iterates `(line_base, state)` over all valid lines.
     pub fn iter_lines(&self) -> impl Iterator<Item = (Addr, LineState)> + '_ {
-        let sets_count = self.config.sets;
-        self.sets.iter().enumerate().flat_map(move |(si, set)| {
-            set.ways.iter().filter_map(move |l| {
-                l.as_ref().map(|l| {
-                    let base = (l.tag * sets_count + si as u32) * LINE_BYTES;
-                    (Addr::new(base), l.state)
-                })
-            })
-        })
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, l)| l.as_ref().map(|l| (self.line_base(slot, l.tag), l.state)))
     }
 
     /// Number of valid lines currently held.
@@ -684,7 +648,7 @@ mod tests {
     fn read_miss_then_hit() {
         let mut c = cache(ProtocolKind::Mesi);
         let a = Addr::new(0x40);
-        assert_eq!(c.probe_read(a, false), ReadProbe::Miss { victim: None });
+        assert_eq!(c.probe_read(a), ReadProbe::Miss { victim: None });
         c.fill(
             a,
             filled_line(5),
@@ -695,7 +659,7 @@ mod tests {
             &mut NullObserver,
         );
         assert_eq!(c.line_state(a), Some(LineState::Exclusive));
-        assert_eq!(c.probe_read(a.add_words(3), false), ReadProbe::Hit(5));
+        assert_eq!(c.probe_read(a.add_words(3)), ReadProbe::Hit(5));
         assert_eq!(c.valid_lines(), 1);
     }
 
@@ -829,7 +793,7 @@ mod tests {
             Cycle::ZERO,
             &mut NullObserver,
         );
-        assert_eq!(c.probe_read(b, false), ReadProbe::Miss { victim: None });
+        assert_eq!(c.probe_read(b), ReadProbe::Miss { victim: None });
         c.fill(
             b,
             filled_line(2),
@@ -840,8 +804,8 @@ mod tests {
             &mut NullObserver,
         );
         // Touch `a` so `b` becomes LRU.
-        assert!(matches!(c.probe_read(a, false), ReadProbe::Hit(_)));
-        let ReadProbe::Miss { victim } = c.probe_read(d, false) else {
+        assert!(matches!(c.probe_read(a), ReadProbe::Hit(_)));
+        let ReadProbe::Miss { victim } = c.probe_read(d) else {
             panic!("expected miss");
         };
         let victim = victim.expect("set was full");
@@ -1091,6 +1055,130 @@ mod tests {
         assert_eq!(c.probe_write(a, 2, false), WriteProbe::HitNeedsUpgrade);
     }
 
+    fn line(l: u32) -> Addr {
+        Addr::new(l * LINE_BYTES)
+    }
+
+    /// A one-set cache of `ways` ways holding line `l` at `line(l)` for
+    /// each `l` of `fills`, filled in that order (the last one MRU).
+    fn one_set(ways: u32, fills: &[u32]) -> DataCache {
+        let mut c = DataCache::new(CacheConfig { sets: 1, ways }, ProtocolKind::Mesi);
+        for &l in fills {
+            c.fill(
+                line(l),
+                filled_line(l),
+                Access::Read,
+                false,
+                false,
+                Cycle::ZERO,
+                &mut NullObserver,
+            );
+        }
+        c
+    }
+
+    fn touch(c: &mut DataCache, l: u32) {
+        assert!(matches!(c.probe_read(line(l)), ReadProbe::Hit(_)));
+    }
+
+    /// The line a miss would evict from a full set, read off a copy so
+    /// `c` is left as it was.
+    fn victim(c: &DataCache) -> Addr {
+        match c.clone().probe_read(line(99)) {
+            ReadProbe::Miss { victim: Some(v) } => v.addr,
+            other => panic!("expected an eviction, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lru_victim_follows_touches() {
+        // Filled 3, 2, 1, 0: line 0 is most recent, line 3 the victim.
+        let mut c = one_set(4, &[3, 2, 1, 0]);
+        assert_eq!(victim(&c), line(3));
+        assert_eq!(c.config().ways, 4);
+        let mut d = c.clone();
+        touch(&mut d, 2);
+        assert_eq!(victim(&d), line(3), "2 is now MRU; 3 the coldest left");
+        touch(&mut c, 3);
+        assert_eq!(victim(&c), line(2));
+        // 3 is most recent: misses evict everything else first.
+        let mut order = Vec::new();
+        for l in 10..14 {
+            let ReadProbe::Miss { victim: Some(v) } = c.probe_read(line(l)) else {
+                panic!("full set must evict");
+            };
+            order.push(v.addr);
+            c.fill(
+                line(l),
+                filled_line(l),
+                Access::Read,
+                false,
+                false,
+                Cycle::ZERO,
+                &mut NullObserver,
+            );
+        }
+        assert_eq!(order, [line(2), line(1), line(0), line(3)]);
+    }
+
+    #[test]
+    fn lru_three_way_rotation() {
+        let mut c = one_set(3, &[2, 1, 0]);
+        touch(&mut c, 2); // recency 2, 0, 1
+        touch(&mut c, 1); // recency 1, 2, 0
+        assert_eq!(victim(&c), line(0));
+        touch(&mut c, 0); // recency 0, 1, 2
+        assert_eq!(victim(&c), line(2));
+    }
+
+    #[test]
+    fn lru_write_hits_and_upgrades_touch() {
+        let mut c = one_set(2, &[1, 0]);
+        assert_eq!(c.probe_write(line(1), 5, false), WriteProbe::Hit);
+        assert_eq!(victim(&c), line(0), "a write hit touches");
+        let mut msi = DataCache::new(CacheConfig { sets: 1, ways: 2 }, ProtocolKind::Msi);
+        for l in [1, 0] {
+            msi.fill(
+                line(l),
+                filled_line(l),
+                Access::Read,
+                false,
+                false,
+                Cycle::ZERO,
+                &mut NullObserver,
+            );
+        }
+        assert_eq!(
+            msi.probe_write(line(1), 5, false),
+            WriteProbe::HitNeedsUpgrade
+        );
+        assert_eq!(victim(&msi), line(1), "a pending upgrade does not touch");
+        assert!(msi.complete_upgrade(line(1), 5));
+        assert_eq!(victim(&msi), line(0), "the completed upgrade touches");
+    }
+
+    #[test]
+    fn lru_repeated_touch_is_stable() {
+        let mut c = one_set(2, &[1, 0]);
+        touch(&mut c, 0);
+        touch(&mut c, 0);
+        assert_eq!(victim(&c), line(1));
+    }
+
+    #[test]
+    fn lru_single_way_set() {
+        let mut c = one_set(1, &[0]);
+        assert_eq!(victim(&c), line(0));
+        touch(&mut c, 0);
+        assert_eq!(victim(&c), line(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity must be positive")]
+    fn zero_ways_panics() {
+        let _ = DataCache::new(CacheConfig { sets: 4, ways: 0 }, ProtocolKind::Mesi);
+    }
+
     /// `may_hold` must never report a false negative: every resident line
     /// is claimed by the filter.
     fn assert_filter_covers(c: &DataCache) {
@@ -1108,7 +1196,7 @@ mod tests {
         for i in 0..3u32 {
             let addr = Addr::new(0x40 + i * 0x80);
             // probe_read on a miss evicts to guarantee a free way.
-            let _ = c.probe_read(addr, false);
+            let _ = c.probe_read(addr);
             c.fill(
                 addr,
                 filled_line(i),
@@ -1188,7 +1276,7 @@ mod tests {
         let mut c = DataCache::new(CacheConfig { sets: 8, ways: 2 }, ProtocolKind::Mesi);
         let addrs: Vec<Addr> = (0..16u32).map(|i| Addr::new(i * 0x20)).collect();
         for (i, &addr) in addrs.iter().enumerate() {
-            let _ = c.probe_read(addr, false);
+            let _ = c.probe_read(addr);
             c.fill(
                 addr,
                 filled_line(i as u32),

@@ -16,9 +16,12 @@
 //!
 //! This crate gives each protocol as one [`Protocol`] transition table:
 //! its states and its fill, write-hit and snoop cells, as paper §2 defines
-//! them. It also provides [`DataCache`], a set-associative, LRU,
+//! them. It also provides [`DataCache`], a set-associative,
 //! write-back/write-through cache that stores real data so stale reads are
-//! observable. The cache is a *passive* state container: it never talks to
+//! observable. Its lines live in one set-major slot array, and replacement
+//! is true LRU: each line carries a recency stamp from a per-cache clock,
+//! renewed by its fill and every processor-side hit, and a full set evicts
+//! its smallest stamp. The cache is a *passive* state container: it never talks to
 //! a bus itself. The platform crate orchestrates probe → bus transaction →
 //! fill, and the wrapper (in `hmp-core`) decides what each snoop port
 //! actually observes.
@@ -41,12 +44,10 @@
 
 mod cache;
 mod event;
-mod lru;
 mod protocol;
 mod state;
 
 pub use cache::{CacheConfig, DataCache, EvictedLine, ReadProbe, WriteProbe};
 pub use event::{Access, SnoopAction, SnoopOp, SnoopReply, WriteHitOutcome};
-pub use lru::LruOrder;
 pub use protocol::{Protocol, ProtocolKind, SnoopTransition};
 pub use state::LineState;

@@ -1,231 +1,274 @@
-//! Property-based tests for the data cache.
+//! Property tests for the data cache.
 //!
-//! A single cache is driven with random processor-side and snoop-side
-//! operations against a reference flat memory. Data values must always be
-//! consistent (the cache never invents or loses a committed byte), and
-//! structural invariants must hold after every step.
+//! The replacement order is checked against a reference model on seeded
+//! operation streams. The quarantined properties drive a single cache
+//! with random processor-side and snoop-side operations against a
+//! reference flat memory: data values must always be consistent (the
+//! cache never invents or loses a committed byte), and structural
+//! invariants must hold after every step.
+
+use hmp_cache::{Access, CacheConfig, DataCache, ProtocolKind, ReadProbe, SnoopOp, WriteProbe};
+use hmp_mem::{Addr, LINE_BYTES};
+use hmp_sim::{Cycle, NullObserver, SplitMix64};
+
+/// One set of 1..=8 ways is driven with seeded read and write hits,
+/// misses (each followed by its fill) and snoop invalidations. Every
+/// victim must be the last entry of a most-recent-first list of the
+/// resident lines.
+#[test]
+fn lru_matches_reference_model() {
+    for ways in 1..=8u32 {
+        for seed in 0..32u64 {
+            let mut rng = SplitMix64::new(seed << 8 | u64::from(ways));
+            let mut cache = DataCache::new(CacheConfig { sets: 1, ways }, ProtocolKind::Mesi);
+            let mut reference: Vec<Addr> = Vec::new();
+            for step in 0..200 {
+                let addr = Addr::new(rng.gen_range(u64::from(ways) + 3) as u32 * LINE_BYTES);
+                let ctx = format!("ways {ways}, seed {seed}, step {step}, {addr}");
+                let (access, victim) = match rng.gen_range(4) {
+                    0 | 1 => match cache.probe_read(addr) {
+                        ReadProbe::Hit(_) => (None, None),
+                        ReadProbe::Miss { victim } => (Some(Access::Read), victim),
+                    },
+                    2 => match cache.probe_write(addr, step, false) {
+                        WriteProbe::Hit => (None, None),
+                        WriteProbe::Miss { victim } => (Some(Access::Write), victim),
+                        other => panic!("{ctx}: MESI write probe gave {other:?}"),
+                    },
+                    _ => {
+                        let reply =
+                            cache.snoop(addr, SnoopOp::Write, Cycle::ZERO, &mut NullObserver);
+                        let resident = reference.contains(&addr);
+                        assert_eq!(reply.is_some(), resident, "{ctx}: snoop hit");
+                        reference.retain(|&a| a != addr);
+                        continue;
+                    }
+                };
+                let resident = reference.contains(&addr);
+                assert_eq!(access.is_none(), resident, "{ctx}: hit");
+                let expected = (!resident && reference.len() == ways as usize)
+                    .then(|| reference.pop().expect("a full set has lines"));
+                assert_eq!(victim.map(|v| v.addr), expected, "{ctx}: victim");
+                if let Some(access) = access {
+                    cache.fill(
+                        addr,
+                        [0; 8],
+                        access,
+                        false,
+                        false,
+                        Cycle::ZERO,
+                        &mut NullObserver,
+                    );
+                }
+                reference.retain(|&a| a != addr);
+                reference.insert(0, addr);
+            }
+        }
+    }
+}
 
 // QUARANTINED (PR 1): these property tests depend on the `proptest` crate,
 // which the offline build environment cannot fetch (empty cargo registry, no
 // network). Enable the `proptests` feature after restoring the `proptest`
 // dev-dependency to run them. Tracking: CHANGES.md (PR 1).
-#![cfg(feature = "proptests")]
+#[cfg(feature = "proptests")]
+mod quarantined {
+    use super::*;
+    use hmp_cache::{EvictedLine, SnoopAction};
+    use hmp_mem::LINE_WORDS;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
-use hmp_cache::{
-    Access, CacheConfig, DataCache, LruOrder, ProtocolKind, ReadProbe, SnoopAction, SnoopOp,
-    WriteProbe,
-};
-use hmp_mem::{Addr, LINE_BYTES, LINE_WORDS};
-use proptest::prelude::*;
-use std::collections::HashMap;
+    const POOL_LINES: u32 = 12;
 
-const POOL_LINES: u32 = 12;
+    #[derive(Debug, Clone)]
+    enum Step {
+        Read { line: u32, word: u32 },
+        Write { line: u32, word: u32 },
+        Snoop { line: u32, op: u8 },
+        Flush { line: u32 },
+    }
 
-#[derive(Debug, Clone)]
-enum Step {
-    Read { line: u32, word: u32 },
-    Write { line: u32, word: u32 },
-    Snoop { line: u32, op: u8 },
-    Flush { line: u32 },
-}
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0..POOL_LINES, 0..LINE_WORDS).prop_map(|(line, word)| Step::Read { line, word }),
+            (0..POOL_LINES, 0..LINE_WORDS).prop_map(|(line, word)| Step::Write { line, word }),
+            (0..POOL_LINES, 0..3u8).prop_map(|(line, op)| Step::Snoop { line, op }),
+            (0..POOL_LINES).prop_map(|line| Step::Flush { line }),
+        ]
+    }
 
-fn step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (0..POOL_LINES, 0..LINE_WORDS).prop_map(|(line, word)| Step::Read { line, word }),
-        (0..POOL_LINES, 0..LINE_WORDS).prop_map(|(line, word)| Step::Write { line, word }),
-        (0..POOL_LINES, 0..3u8).prop_map(|(line, op)| Step::Snoop { line, op }),
-        (0..POOL_LINES).prop_map(|line| Step::Flush { line }),
-    ]
-}
+    fn protocol() -> impl Strategy<Value = ProtocolKind> {
+        prop::sample::select(ProtocolKind::WRITE_BACK.to_vec())
+    }
 
-fn protocol() -> impl Strategy<Value = ProtocolKind> {
-    prop::sample::select(ProtocolKind::WRITE_BACK.to_vec())
-}
+    /// Reference memory: the authoritative value of every word, updated on
+    /// every committed write and on every write-back the cache emits.
+    struct RefMem(HashMap<u32, u32>);
 
-/// Reference memory: the authoritative value of every word, updated on
-/// every committed write and on every write-back the cache emits.
-struct RefMem(HashMap<u32, u32>);
-
-impl RefMem {
-    fn read_line(&self, line: Addr) -> [u32; LINE_WORDS as usize] {
-        let mut out = [0u32; LINE_WORDS as usize];
-        for (w, slot) in out.iter_mut().enumerate() {
-            *slot = *self.0.get(&line.add_words(w as u32).as_u32()).unwrap_or(&0);
+    impl RefMem {
+        fn read_line(&self, line: Addr) -> [u32; LINE_WORDS as usize] {
+            let mut out = [0u32; LINE_WORDS as usize];
+            for (w, slot) in out.iter_mut().enumerate() {
+                *slot = *self.0.get(&line.add_words(w as u32).as_u32()).unwrap_or(&0);
+            }
+            out
         }
-        out
-    }
-    fn write_line(&mut self, line: Addr, data: &[u32; LINE_WORDS as usize]) {
-        for (w, v) in data.iter().enumerate() {
-            self.0.insert(line.add_words(w as u32).as_u32(), *v);
-        }
-    }
-}
-
-/// The authoritative current value of a word: the cache's copy if the
-/// line is dirty, memory otherwise. (For clean lines both must agree.)
-fn authoritative(cache: &DataCache, mem: &RefMem, addr: Addr) -> u32 {
-    match cache.line_state(addr) {
-        Some(s) if s.is_dirty() => cache.peek_word(addr).expect("dirty line present"),
-        _ => *mem.0.get(&addr.as_u32()).unwrap_or(&0),
-    }
-}
-
-fn evict_to_mem(mem: &mut RefMem, victim: Option<hmp_cache::EvictedLine>) {
-    if let Some(v) = victim {
-        if v.dirty {
-            mem.write_line(v.addr, &v.data);
+        fn write_line(&mut self, line: Addr, data: &[u32; LINE_WORDS as usize]) {
+            for (w, v) in data.iter().enumerate() {
+                self.0.insert(line.add_words(w as u32).as_u32(), *v);
+            }
         }
     }
-}
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    /// The authoritative current value of a word: the cache's copy if the
+    /// line is dirty, memory otherwise. (For clean lines both must agree.)
+    fn authoritative(cache: &DataCache, mem: &RefMem, addr: Addr) -> u32 {
+        match cache.line_state(addr) {
+            Some(s) if s.is_dirty() => cache.peek_word(addr).expect("dirty line present"),
+            _ => *mem.0.get(&addr.as_u32()).unwrap_or(&0),
+        }
+    }
 
-    #[test]
-    fn single_cache_never_corrupts_data(
-        kind in protocol(),
-        steps in prop::collection::vec(step(), 1..120),
-    ) {
-        let base = Addr::new(0x1000);
-        let mut cache = DataCache::new(CacheConfig { sets: 4, ways: 2 }, kind);
-        let mut mem = RefMem(HashMap::new());
-        let mut next_value = 1u32;
+    fn evict_to_mem(mem: &mut RefMem, victim: Option<EvictedLine>) {
+        if let Some(v) = victim {
+            if v.dirty {
+                mem.write_line(v.addr, &v.data);
+            }
+        }
+    }
 
-        for s in steps {
-            match s {
-                Step::Read { line, word } => {
-                    let addr = base.add_lines(line).add_words(word);
-                    let expect = authoritative(&cache, &mem, addr);
-                    match cache.probe_read(addr, false) {
-                        ReadProbe::Hit(v) => prop_assert_eq!(v, expect, "read hit {}", addr),
-                        ReadProbe::Miss { victim } => {
-                            evict_to_mem(&mut mem, victim);
-                            let data = mem.read_line(addr.line_base());
-                            cache.fill(addr.line_base(), data, Access::Read, false, false);
-                            let v = cache.peek_word(addr).expect("just filled");
-                            prop_assert_eq!(v, expect, "fill {}", addr);
-                        }
-                    }
-                }
-                Step::Write { line, word } => {
-                    let addr = base.add_lines(line).add_words(word);
-                    let value = next_value;
-                    next_value += 1;
-                    match cache.probe_write(addr, value, false) {
-                        WriteProbe::Hit => {}
-                        WriteProbe::HitNeedsUpgrade => {
-                            prop_assert!(cache.complete_upgrade(addr, value));
-                        }
-                        WriteProbe::HitWriteThrough => {
-                            // Write-back pool: SI lines never appear here.
-                            prop_assert!(false, "unexpected write-through");
-                        }
-                        WriteProbe::Miss { victim } => {
-                            evict_to_mem(&mut mem, victim);
-                            let data = mem.read_line(addr.line_base());
-                            cache.fill(addr.line_base(), data, Access::Write, false, false);
-                            cache.commit_write(addr, value);
-                        }
-                        WriteProbe::MissNoAllocate => {
-                            prop_assert!(false, "write-back protocols allocate");
-                        }
-                    }
-                    prop_assert_eq!(cache.peek_word(addr), Some(value));
-                    prop_assert!(cache.line_state(addr).unwrap().is_dirty());
-                }
-                Step::Snoop { line, op } => {
-                    let addr = base.add_lines(line);
-                    let op = match op {
-                        0 => SnoopOp::Read,
-                        1 => SnoopOp::Write,
-                        _ => SnoopOp::Upgrade,
-                    };
-                    if let Some(reply) = cache.snoop(addr, op) {
-                        match reply.action {
-                            SnoopAction::WritebackLine => {
-                                mem.write_line(addr, &reply.data.expect("wb data"));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn single_cache_never_corrupts_data(
+            kind in protocol(),
+            steps in prop::collection::vec(step(), 1..120),
+        ) {
+            let base = Addr::new(0x1000);
+            let mut cache = DataCache::new(CacheConfig { sets: 4, ways: 2 }, kind);
+            let mut mem = RefMem(HashMap::new());
+            let mut next_value = 1u32;
+
+            for s in steps {
+                match s {
+                    Step::Read { line, word } => {
+                        let addr = base.add_lines(line).add_words(word);
+                        let expect = authoritative(&cache, &mem, addr);
+                        match cache.probe_read(addr, false) {
+                            ReadProbe::Hit(v) => prop_assert_eq!(v, expect, "read hit {}", addr),
+                            ReadProbe::Miss { victim } => {
+                                evict_to_mem(&mut mem, victim);
+                                let data = mem.read_line(addr.line_base());
+                                cache.fill(addr.line_base(), data, Access::Read, false, false);
+                                let v = cache.peek_word(addr).expect("just filled");
+                                prop_assert_eq!(v, expect, "fill {}", addr);
                             }
-                            SnoopAction::SupplyLine => {
-                                // Supplied data must be the authoritative copy.
-                                let data = reply.data.expect("supply data");
-                                for w in 0..LINE_WORDS {
-                                    let a = addr.add_words(w);
-                                    prop_assert_eq!(
-                                        data[w as usize],
-                                        authoritative(&cache, &mem, a)
-                                    );
+                        }
+                    }
+                    Step::Write { line, word } => {
+                        let addr = base.add_lines(line).add_words(word);
+                        let value = next_value;
+                        next_value += 1;
+                        match cache.probe_write(addr, value, false) {
+                            WriteProbe::Hit => {}
+                            WriteProbe::HitNeedsUpgrade => {
+                                prop_assert!(cache.complete_upgrade(addr, value));
+                            }
+                            WriteProbe::HitWriteThrough => {
+                                // Write-back pool: SI lines never appear here.
+                                prop_assert!(false, "unexpected write-through");
+                            }
+                            WriteProbe::Miss { victim } => {
+                                evict_to_mem(&mut mem, victim);
+                                let data = mem.read_line(addr.line_base());
+                                cache.fill(addr.line_base(), data, Access::Write, false, false);
+                                cache.commit_write(addr, value);
+                            }
+                            WriteProbe::MissNoAllocate => {
+                                prop_assert!(false, "write-back protocols allocate");
+                            }
+                        }
+                        prop_assert_eq!(cache.peek_word(addr), Some(value));
+                        prop_assert!(cache.line_state(addr).unwrap().is_dirty());
+                    }
+                    Step::Snoop { line, op } => {
+                        let addr = base.add_lines(line);
+                        let op = match op {
+                            0 => SnoopOp::Read,
+                            1 => SnoopOp::Write,
+                            _ => SnoopOp::Upgrade,
+                        };
+                        if let Some(reply) = cache.snoop(addr, op) {
+                            match reply.action {
+                                SnoopAction::WritebackLine => {
+                                    mem.write_line(addr, &reply.data.expect("wb data"));
                                 }
+                                SnoopAction::SupplyLine => {
+                                    // Supplied data must be the authoritative copy.
+                                    let data = reply.data.expect("supply data");
+                                    for w in 0..LINE_WORDS {
+                                        let a = addr.add_words(w);
+                                        prop_assert_eq!(
+                                            data[w as usize],
+                                            authoritative(&cache, &mem, a)
+                                        );
+                                    }
+                                }
+                                SnoopAction::None => {}
                             }
-                            SnoopAction::None => {}
+                            // A snoop never leaves dirty data unreachable: if the
+                            // new state is Invalid the data either went to memory
+                            // (write-back) or was clean.
+                            if reply.old_state.is_dirty()
+                                && !cache.contains(addr)
+                                && reply.action == SnoopAction::None
+                            {
+                                // Only legal for Owned lines dropped on Upgrade
+                                // (the upgrader holds identical data).
+                                prop_assert_eq!(op, SnoopOp::Upgrade);
+                            }
                         }
-                        // A snoop never leaves dirty data unreachable: if the
-                        // new state is Invalid the data either went to memory
-                        // (write-back) or was clean.
-                        if reply.old_state.is_dirty()
-                            && !cache.contains(addr)
-                            && reply.action == SnoopAction::None
-                        {
-                            // Only legal for Owned lines dropped on Upgrade
-                            // (the upgrader holds identical data).
-                            prop_assert_eq!(op, SnoopOp::Upgrade);
+                    }
+                    Step::Flush { line } => {
+                        let addr = base.add_lines(line);
+                        if let Some((dirty, data)) = cache.flush_line(addr) {
+                            if dirty {
+                                mem.write_line(addr, &data);
+                            }
+                            prop_assert!(!cache.contains(addr));
                         }
                     }
                 }
-                Step::Flush { line } => {
-                    let addr = base.add_lines(line);
-                    if let Some((dirty, data)) = cache.flush_line(addr) {
-                        if dirty {
-                            mem.write_line(addr, &data);
-                        }
-                        prop_assert!(!cache.contains(addr));
-                    }
+
+                // Structural invariants after every step.
+                prop_assert!(cache.valid_lines() <= 4 * 2, "over capacity");
+                prop_assert!(cache.dirty_lines() <= cache.valid_lines());
+                for (line_addr, state) in cache.iter_lines() {
+                    prop_assert!(state.is_valid());
+                    prop_assert!(
+                        ProtocolKind::WRITE_BACK
+                            .iter()
+                            .any(|k| *k == kind && k.has_state(state)),
+                        "{kind} line in foreign state {state}"
+                    );
+                    prop_assert!(line_addr.is_line_aligned());
                 }
             }
-
-            // Structural invariants after every step.
-            prop_assert!(cache.valid_lines() <= 4 * 2, "over capacity");
-            prop_assert!(cache.dirty_lines() <= cache.valid_lines());
-            for (line_addr, state) in cache.iter_lines() {
-                prop_assert!(state.is_valid());
-                prop_assert!(
-                    ProtocolKind::WRITE_BACK
-                        .iter()
-                        .any(|k| *k == kind && k.has_state(state)),
-                    "{kind} line in foreign state {state}"
-                );
-                prop_assert!(line_addr.is_line_aligned());
-            }
         }
-    }
 
-    #[test]
-    fn lru_matches_reference_model(
-        ways in 1..6u32,
-        touches in prop::collection::vec(0..6u32, 0..60),
-    ) {
-        let mut lru = LruOrder::new(ways);
-        // Reference: most-recent-first vector.
-        let mut reference: Vec<u32> = (0..ways).collect();
-        for t in touches {
-            let way = t % ways;
-            lru.touch(way);
-            reference.retain(|&w| w != way);
-            reference.insert(0, way);
-            prop_assert_eq!(lru.victim(), *reference.last().unwrap());
-            prop_assert_eq!(lru.position(way), 0);
+        #[test]
+        fn set_index_and_tag_partition_the_address(line in 0u32..100_000) {
+            // Any two distinct line addresses must differ in (set, tag).
+            let cache = DataCache::new(CacheConfig { sets: 16, ways: 2 }, ProtocolKind::Mesi);
+            let a = Addr::new(line * LINE_BYTES);
+            let b = Addr::new((line + 1) * LINE_BYTES);
+            // Indirectly observable: filling `a` must not make `b` visible.
+            let mut c = cache.clone();
+            c.fill(a, [7; 8], Access::Read, false, false);
+            prop_assert!(c.contains(a));
+            prop_assert!(!c.contains(b));
         }
-    }
-
-    #[test]
-    fn set_index_and_tag_partition_the_address(line in 0u32..100_000) {
-        // Any two distinct line addresses must differ in (set, tag).
-        let cache = DataCache::new(CacheConfig { sets: 16, ways: 2 }, ProtocolKind::Mesi);
-        let a = Addr::new(line * LINE_BYTES);
-        let b = Addr::new((line + 1) * LINE_BYTES);
-        // Indirectly observable: filling `a` must not make `b` visible.
-        let mut c = cache.clone();
-        c.fill(a, [7; 8], Access::Read, false, false);
-        prop_assert!(c.contains(a));
-        prop_assert!(!c.contains(b));
     }
 }

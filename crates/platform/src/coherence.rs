@@ -318,7 +318,7 @@ pub fn completion_action(op: &BusOp, pending: &Pending) -> CompletionAction {
 // The effectful half: `System` methods consuming the typed layer.
 // ---------------------------------------------------------------------
 
-impl<O: Observer> System<O> {
+impl System {
     /// Snoops an address phase across all remote nodes and folds the
     /// verdicts into the bus's [`AddressOutcome`], queueing any snoop-push
     /// drains.
@@ -348,7 +348,7 @@ impl<O: Observer> System<O> {
             let may_react = if node.wrapper.is_some() {
                 node.cache.may_hold(addr)
             } else {
-                self.snoop_logic_enabled && node.cam.as_ref().is_some_and(|c| c.may_match(addr))
+                self.run.snoop_logic_enabled && node.cam.as_ref().is_some_and(|c| c.may_match(addr))
             };
             if !may_react {
                 continue;
@@ -357,10 +357,10 @@ impl<O: Observer> System<O> {
                 node.wrapper.as_mut(),
                 &mut node.cache,
                 node.cam.as_mut(),
-                self.snoop_logic_enabled,
+                self.run.snoop_logic_enabled,
                 &txn.op,
                 addr,
-                self.now,
+                self.run.now,
                 &mut self.obs,
             );
             if matches!(verdict, SnoopVerdict::Supply { .. }) {
@@ -375,7 +375,7 @@ impl<O: Observer> System<O> {
         }
         for &(j, data) in phase.drains() {
             self.bus
-                .submit_drain(MasterId(j), data, addr, self.now, &mut self.obs);
+                .submit_drain(MasterId(j), data, addr, self.run.now, &mut self.obs);
         }
         let mut outcome = if let Some(cause) = phase.retry_cause() {
             self.emit_retry(txn, cause);
@@ -395,7 +395,7 @@ impl<O: Observer> System<O> {
             if *data_cycles > 0 && self.bus.crosses_bridge(txn.master, supplier) {
                 *data_cycles += self.bus.bridge_latency();
                 if let Some(ts) = &mut self.obs.series {
-                    ts.record_bridge_crossing(self.now);
+                    ts.record_bridge_crossing(self.run.now);
                 }
             }
         }
@@ -410,7 +410,7 @@ impl<O: Observer> System<O> {
             return;
         };
         inv.check_line(
-            self.now,
+            self.run.now,
             addr,
             self.nodes.iter().enumerate().filter_map(|(i, n)| {
                 // Same occupancy pre-filter as the snoop loop: `may_hold`
@@ -425,7 +425,7 @@ impl<O: Observer> System<O> {
 
     pub(crate) fn emit_retry(&mut self, txn: &GrantedTxn, cause: RetryCause) {
         self.obs.on_event(
-            self.now,
+            self.run.now,
             SimEvent::BusRetry {
                 master: txn.master.index(),
                 addr: u64::from(txn.addr.as_u32()),
@@ -465,7 +465,7 @@ impl<O: Observer> System<O> {
                     _ => {
                         let v = self.mem.read_word(done.addr);
                         if let Some(c) = &mut self.checker {
-                            c.on_read(self.now, m, done.addr, v);
+                            c.on_read(self.run.now, m, done.addr, v);
                         }
                         v
                     }
@@ -495,7 +495,7 @@ impl<O: Observer> System<O> {
                 };
                 // An armed SHARED-signal corruption overrides whatever the
                 // wrapper translated, once.
-                if let Some(engine) = &mut self.faults {
+                if let Some(engine) = &mut self.run.faults {
                     if let Some(forced) = engine.shared_force[m].take() {
                         gated_shared = forced;
                     }
@@ -506,7 +506,7 @@ impl<O: Observer> System<O> {
                     access,
                     gated_shared,
                     wt,
-                    self.now,
+                    self.run.now,
                     &mut self.obs,
                 );
                 if let Some(cam) = &mut self.nodes[m].cam {
@@ -516,7 +516,7 @@ impl<O: Observer> System<O> {
                     Access::Read => {
                         let v = data[done.addr.word_offset_in_line() as usize];
                         if let Some(c) = &mut self.checker {
-                            c.on_read(self.now, m, done.addr, v);
+                            c.on_read(self.run.now, m, done.addr, v);
                         }
                         self.nodes[m].cpu.complete_mem(MemResult::Value(v));
                     }
@@ -563,7 +563,7 @@ impl<O: Observer> System<O> {
         if let Some(v) = victim {
             if v.dirty {
                 self.bus
-                    .submit_drain(MasterId(i), v.data, v.addr, self.now, &mut self.obs);
+                    .submit_drain(MasterId(i), v.data, v.addr, self.run.now, &mut self.obs);
                 self.counters.bump(i, CpuCounter::VictimWriteback);
             } else {
                 self.counters.bump(i, CpuCounter::VictimClean);
@@ -582,7 +582,7 @@ impl<O: Observer> System<O> {
                     MasterId(i),
                     BusOp::ReadLineExcl,
                     req.addr,
-                    self.now,
+                    self.run.now,
                     &mut self.obs,
                 );
                 self.nodes[i].pending = Some(Pending {
@@ -605,17 +605,17 @@ impl<O: Observer> System<O> {
         // Every bus submission flows through here (directly or via the
         // victim path), and a request can arrive from a CPU-only tick —
         // the one mutation of the bus's event horizon outside a full step.
-        self.bus_sched_dirty = true;
+        self.run.bus_sched_dirty = true;
         let attr = self.map.classify(req.addr);
         match req.kind {
             ReqKind::Read => match attr {
                 MemAttr::CachedWriteBack | MemAttr::CachedWriteThrough => {
                     let wt = attr == MemAttr::CachedWriteThrough;
-                    match self.nodes[i].cache.probe_read(req.addr, wt) {
+                    match self.nodes[i].cache.probe_read(req.addr) {
                         ReadProbe::Hit(v) => {
                             self.counters.bump(i, CpuCounter::ReadHit);
                             if let Some(c) = &mut self.checker {
-                                c.on_read(self.now, i, req.addr, v);
+                                c.on_read(self.run.now, i, req.addr, v);
                             }
                             self.nodes[i].cpu.complete_mem(MemResult::Value(v));
                         }
@@ -626,7 +626,7 @@ impl<O: Observer> System<O> {
                                 MasterId(i),
                                 BusOp::ReadLine,
                                 req.addr,
-                                self.now,
+                                self.run.now,
                                 &mut self.obs,
                             );
                             self.nodes[i].pending = Some(Pending {
@@ -645,7 +645,7 @@ impl<O: Observer> System<O> {
                         MasterId(i),
                         BusOp::ReadWord,
                         req.addr,
-                        self.now,
+                        self.run.now,
                         &mut self.obs,
                     );
                     self.nodes[i].pending = Some(Pending {
@@ -675,7 +675,7 @@ impl<O: Observer> System<O> {
                                 MasterId(i),
                                 BusOp::Upgrade,
                                 req.addr,
-                                self.now,
+                                self.run.now,
                                 &mut self.obs,
                             );
                             self.nodes[i].pending = Some(Pending {
@@ -693,7 +693,7 @@ impl<O: Observer> System<O> {
                                 MasterId(i),
                                 BusOp::WriteWord(value),
                                 req.addr,
-                                self.now,
+                                self.run.now,
                                 &mut self.obs,
                             );
                             self.nodes[i].pending = Some(Pending {
@@ -708,7 +708,7 @@ impl<O: Observer> System<O> {
                                 MasterId(i),
                                 BusOp::ReadLineExcl,
                                 req.addr,
-                                self.now,
+                                self.run.now,
                                 &mut self.obs,
                             );
                             self.nodes[i].pending = Some(Pending {
@@ -726,7 +726,7 @@ impl<O: Observer> System<O> {
                                 MasterId(i),
                                 BusOp::WriteWord(value),
                                 req.addr,
-                                self.now,
+                                self.run.now,
                                 &mut self.obs,
                             );
                             self.nodes[i].pending = Some(Pending {
@@ -741,7 +741,7 @@ impl<O: Observer> System<O> {
                         MasterId(i),
                         BusOp::WriteWord(value),
                         req.addr,
-                        self.now,
+                        self.run.now,
                         &mut self.obs,
                     );
                     self.nodes[i].pending = Some(Pending {
@@ -757,7 +757,7 @@ impl<O: Observer> System<O> {
                             MasterId(i),
                             BusOp::WriteLine(data),
                             req.addr.line_base(),
-                            self.now,
+                            self.run.now,
                             &mut self.obs,
                         );
                         self.nodes[i].pending = Some(Pending {

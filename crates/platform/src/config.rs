@@ -272,7 +272,8 @@ pub struct PlatformSpec {
     pub retry_backoff: u64,
     /// Watchdog stall window in bus cycles.
     pub watchdog_window: u64,
-    /// Trace ring capacity (0 disables tracing).
+    /// Event-ring capacity of the metrics layer (0 = 8 × `span_capacity`);
+    /// only read when `span_capacity > 0`.
     pub trace_capacity: usize,
     /// Completed-span ring capacity for the metrics layer; 0 disables
     /// span/histogram collection entirely (the zero-cost default).

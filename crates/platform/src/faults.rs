@@ -63,22 +63,22 @@ impl FaultEngine {
     }
 }
 
-impl<O: Observer> System<O> {
+impl System {
     /// Fires every fault due at the current cycle, mutating the matching
     /// component boundary. Called once per *stepped* cycle, right after
     /// the clock tick, by both kernels.
     pub(crate) fn fire_faults(&mut self) {
-        let now = self.now.as_u64();
-        match &self.faults {
+        let now = self.run.now.as_u64();
+        match &self.run.faults {
             Some(e) if e.plan.next_fire_at().is_some_and(|t| t <= now) => {}
             _ => return,
         }
-        let mut engine = self.faults.take().expect("checked above");
+        let mut engine = self.run.faults.take().expect("checked above");
         while let Some(spec) = engine.plan.pop_due(now) {
             engine.fired += 1;
             let target = (spec.target as usize).min(self.nodes.len() - 1);
             self.obs.on_event(
-                self.now,
+                self.run.now,
                 SimEvent::FaultInjected {
                     kind: spec.kind,
                     target,
@@ -131,11 +131,11 @@ impl<O: Observer> System<O> {
                 }
             }
         }
-        self.faults = Some(engine);
+        self.run.faults = Some(engine);
         // Fired faults mutate arbitrary component state (nFIQ masks, CAM
         // contents, cache lines); re-derive every node's event horizon.
         self.sched.mark_all_dirty();
-        self.bus_sched_dirty = true;
+        self.run.bus_sched_dirty = true;
     }
 
     /// Whether an armed fault kills this granted transaction with a
@@ -143,7 +143,7 @@ impl<O: Observer> System<O> {
     /// wedged — a wedged master retries forever). Drains are exempt so no
     /// dirty data is ever lost to an injected retry.
     pub(crate) fn fault_kills_grant(&mut self, master: usize, is_drain: bool) -> bool {
-        let Some(engine) = &mut self.faults else {
+        let Some(engine) = &mut self.run.faults else {
             return false;
         };
         if is_drain {

@@ -7,27 +7,23 @@ use crate::{CoherenceChecker, HangReport, PlatformSpec, RunOutcome, RunResult, W
 use hmp_bus::{AddressOutcome, Bus, BusDevice, BusPhase, LockRegister, MasterId};
 use hmp_cache::{DataCache, ProtocolKind};
 use hmp_core::{
-    classify_platform, reduce, reduce_segments, CoherenceSupport, PlatformClass, SnoopLogic,
-    Wrapper, WrapperPolicy,
+    classify_platform, reduce, CoherenceSupport, PlatformClass, SnoopLogic, Wrapper, WrapperPolicy,
 };
 use hmp_cpu::{Cpu, CpuAction, CpuConfig, LockKind, Program};
 use hmp_mem::{Addr, Memory, MemoryController, MemoryMap};
 use hmp_sim::{
     ClockDomain, CounterBank, Cycle, EventSchedule, Kernel, KernelProfile, MetricsObserver,
-    MetricsRegistry, NullObserver, Observer, RetryCause, SimEvent, TraceObserver, Watchdog,
-    WatchdogVerdict, NO_EVENT,
+    MetricsRegistry, Observer, RetryCause, SimEvent, Watchdog, WatchdogVerdict, NO_EVENT,
 };
 use std::time::Instant;
 
-/// The platform's internal event sink: fans every [`SimEvent`] out to the
-/// optional metrics layer before the user's observer.
+/// The platform's event sink: fans every [`SimEvent`] out to the optional
+/// metrics layers.
 ///
-/// This is what lets metrics ride along any `System<O>` without changing
-/// the component signatures: every `&mut self.obs` in the cycle loop hits
-/// this type, which is itself an [`Observer`]. With metrics disabled (the
-/// default) the extra branch is a `None` check that the optimizer removes
-/// against a concrete `O`.
-pub(crate) struct SystemSink<O: Observer> {
+/// Every `&mut self.obs` in the cycle loop hits this type, which is itself
+/// an [`Observer`]. With both layers disabled (the default) an event costs
+/// two `None` checks.
+pub(crate) struct SystemSink {
     pub(crate) metrics: Option<Box<MetricsObserver>>,
     /// Windowed time-series registry, armed by `PlatformSpec::timeseries`.
     /// Grant/retry/completion/quarantine events arrive through the fan-out
@@ -35,10 +31,9 @@ pub(crate) struct SystemSink<O: Observer> {
     /// are recorded by direct calls from the cycle loop (the bus emits no
     /// per-data-cycle events — that is the point of the warp kernel).
     pub(crate) series: Option<Box<MetricsRegistry>>,
-    pub(crate) inner: O,
 }
 
-impl<O: Observer> Observer for SystemSink<O> {
+impl Observer for SystemSink {
     #[inline]
     fn on_event(&mut self, at: Cycle, event: SimEvent) {
         if let Some(m) = &mut self.metrics {
@@ -47,7 +42,6 @@ impl<O: Observer> Observer for SystemSink<O> {
         if let Some(s) = &mut self.series {
             s.on_event(at, event);
         }
-        self.inner.on_event(at, event);
     }
 }
 
@@ -79,58 +73,20 @@ pub(crate) struct Node {
     was_halted: bool,
 }
 
-/// The running platform: CPUs, wrappers, snoop logic, bus, memory,
-/// checker.
+/// Everything a run mutates outside the components' own storage.
 ///
-/// Construct with [`System::new`] (or a preset from [`crate::presets`]),
-/// then either [`System::run`] to completion or [`System::step`] one bus
-/// cycle at a time for fine-grained tests.
-///
-/// The type parameter is the [`Observer`] every component emits typed
-/// [`hmp_sim::SimEvent`]s into. The default [`NullObserver`] compiles the
-/// whole instrumentation path to nothing; [`System::traced`] swaps in a
-/// [`TraceObserver`] that records events unrendered. The coherence
-/// decision logic itself — snoop verdicts, address-phase folding,
-/// completion actions — lives in [`crate::coherence`]; this type owns the
-/// state and the clock.
-pub struct System<O: Observer = NullObserver> {
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) bus: Bus,
-    pub(crate) mem: MemoryController,
-    pub(crate) map: MemoryMap,
-    pub(crate) devices: Vec<Box<dyn BusDevice>>,
-    pub(crate) checker: Option<CoherenceChecker>,
-    watchdog: Watchdog,
-    pub(crate) counters: CounterBank,
-    pub(crate) obs: SystemSink<O>,
-    pub(crate) invariants: Option<InvariantObserver>,
-    /// Fault engine, boxed behind an `Option` exactly like the metrics
-    /// layer: a fault-free run carries one null pointer and no behavior.
-    pub(crate) faults: Option<Box<FaultEngine>>,
-    /// Whether the spec armed any recovery escalation stage, hoisted so
-    /// the run loop's degraded-completion check is one branch when off.
-    recovery_armed: bool,
-    /// Reusable address-phase fold; keeping it (and its drain-list
-    /// capacity) across grants keeps steady-state snooping alloc-free.
-    pub(crate) phase_scratch: AddressPhase,
-    cpu_names: Vec<String>,
+/// [`RunState::start`] is its only constructor, and both
+/// [`System::new`] and [`System::try_reset`] call it, so a fresh build
+/// and a reset begin every run from the same values.
+pub(crate) struct RunState {
+    /// Current bus time.
     pub(crate) now: Cycle,
-    class: PlatformClass,
-    system_protocol: Option<ProtocolKind>,
-    /// Per-segment GCS meets (index = segment; `None` = no coherent
-    /// master on that segment). One entry on flat-bus platforms.
-    segment_protocols: Vec<Option<ProtocolKind>>,
-    pub(crate) snoop_logic_enabled: bool,
     kernel: Kernel,
+    pub(crate) snoop_logic_enabled: bool,
     /// Number of nodes whose CPU is currently halted, maintained at the
     /// transition points in [`System::step_cpus`] so [`System::finished`]
     /// needs no per-cycle node scan.
     halted_cpus: usize,
-    /// Incremental event schedule for the fast-forward planner: one
-    /// absolute next-event cycle per node, re-evaluated only for nodes
-    /// marked dirty at a state-transition point. [`System::plan`] drains
-    /// the dirty set instead of rescanning every node each iteration.
-    pub(crate) sched: EventSchedule,
     /// Total instructions committed across all CPUs, bumped in
     /// [`System::tick_node`] so the watchdog poll needs no per-iteration
     /// node scan (commits only happen inside ticks, never warps).
@@ -143,18 +99,91 @@ pub struct System<O: Observer = NullObserver> {
     bus_next_abs: u64,
     /// Whether `bus_next_abs` must be recomputed at the next plan.
     pub(crate) bus_sched_dirty: bool,
-    /// The construction spec, kept for [`System::try_reset`]'s shape
-    /// check (a reset must not change any allocation-bearing dimension).
-    spec: PlatformSpec,
     /// Whether [`System::run`] measures the kernel's wall-time split.
     profile: bool,
     /// Self-profile accumulators (only written on the profiled path).
     prof: ProfCounters,
+    watchdog: Watchdog,
+    /// Fault engine, boxed behind an `Option` exactly like the metrics
+    /// layer: a fault-free run carries one null pointer and no behavior.
+    pub(crate) faults: Option<Box<FaultEngine>>,
+    /// Whether the spec armed any recovery escalation stage, hoisted so
+    /// the run loop's degraded-completion check is one branch when off.
+    recovery_armed: bool,
+}
+
+impl RunState {
+    /// Applies `spec`'s run settings (arbitration, BOFF window, recovery
+    /// policy) to `bus` and returns the state a run of `spec` starts
+    /// from: time zero, the default kernel, the snoop logic enabled, and
+    /// a fresh watchdog and fault engine.
+    fn start(spec: &PlatformSpec, bus: &mut Bus, masters: usize) -> Self {
+        bus.set_arbitration(spec.arbitration);
+        bus.set_retry_backoff(spec.retry_backoff);
+        bus.set_recovery(spec.recovery);
+        RunState {
+            now: Cycle::ZERO,
+            kernel: Kernel::default(),
+            snoop_logic_enabled: true,
+            halted_cpus: 0,
+            progress: 0,
+            bus_next_abs: NO_EVENT,
+            bus_sched_dirty: true,
+            profile: spec.profile,
+            prof: ProfCounters::default(),
+            watchdog: Watchdog::new(Cycle::new(spec.watchdog_window)),
+            faults: spec
+                .faults
+                .as_ref()
+                .filter(|p| !p.specs().is_empty())
+                .map(|p| Box::new(FaultEngine::new(p.clone(), masters))),
+            recovery_armed: bus.recovery_armed(),
+        }
+    }
+}
+
+/// The running platform: CPUs, wrappers, snoop logic, bus, memory,
+/// checker.
+///
+/// Construct with [`System::new`] (or a preset from [`crate::presets`]),
+/// then either [`System::run`] to completion or [`System::step`] one bus
+/// cycle at a time for fine-grained tests.
+///
+/// Components emit typed [`hmp_sim::SimEvent`]s into the platform's
+/// sink, which feeds the metrics layers the spec arms (`span_capacity`,
+/// `timeseries`) and costs nothing when none is. The coherence decision
+/// logic itself — snoop verdicts, address-phase folding, completion
+/// actions — lives in [`crate::coherence`]; this type owns the state and
+/// the clock.
+pub struct System {
+    pub(crate) nodes: Vec<Node>,
+    pub(crate) bus: Bus,
+    pub(crate) mem: MemoryController,
+    pub(crate) map: MemoryMap,
+    pub(crate) devices: Vec<Box<dyn BusDevice>>,
+    pub(crate) checker: Option<CoherenceChecker>,
+    pub(crate) counters: CounterBank,
+    pub(crate) obs: SystemSink,
+    pub(crate) invariants: Option<InvariantObserver>,
+    /// Reusable address-phase fold; keeping it (and its drain-list
+    /// capacity) across grants keeps steady-state snooping alloc-free.
+    pub(crate) phase_scratch: AddressPhase,
+    cpu_names: Vec<String>,
+    class: PlatformClass,
+    system_protocol: Option<ProtocolKind>,
+    /// Incremental event schedule for the fast-forward planner: one
+    /// absolute next-event cycle per node, re-evaluated only for nodes
+    /// marked dirty at a state-transition point. [`System::plan`] drains
+    /// the dirty set instead of rescanning every node each iteration.
+    pub(crate) sched: EventSchedule,
+    /// The construction spec, kept for [`System::try_reset`]'s shape
+    /// check (a reset must not change any allocation-bearing dimension).
+    spec: PlatformSpec,
+    pub(crate) run: RunState,
 }
 
 impl System {
-    /// Builds an uninstrumented platform from its spec, loading one
-    /// program per CPU.
+    /// Builds a platform from its spec, loading one program per CPU.
     ///
     /// A [`LockRegister`] device is attached automatically when the spec's
     /// lock kind is [`LockKind::HardwareRegister`].
@@ -164,42 +193,18 @@ impl System {
     /// Panics if the program count does not match the CPU count, or if the
     /// spec mixes protocols the reduction lattice rejects.
     pub fn new(spec: &PlatformSpec, programs: Vec<Program>) -> Self {
-        System::with_observer(spec, programs, NullObserver)
-    }
-}
-
-impl System<TraceObserver> {
-    /// Builds a platform that records typed events into a
-    /// [`TraceObserver`] ring (capacity `spec.trace_capacity`, or 4096
-    /// when the spec leaves it zero). Events render only when the
-    /// observer is displayed.
-    pub fn traced(spec: &PlatformSpec, programs: Vec<Program>) -> Self {
-        let capacity = if spec.trace_capacity == 0 {
-            4096
-        } else {
-            spec.trace_capacity
-        };
-        System::with_observer(spec, programs, TraceObserver::new(capacity))
-    }
-}
-
-impl<O: Observer> System<O> {
-    /// Builds a platform emitting events into `obs`. See [`System::new`]
-    /// for the panics.
-    pub fn with_observer(spec: &PlatformSpec, programs: Vec<Program>, obs: O) -> Self {
         assert_eq!(programs.len(), spec.cpus.len(), "one program per processor");
         let support: Vec<CoherenceSupport> = spec.cpus.iter().map(|c| c.coherence).collect();
         let class = classify_platform(&support);
         let native: Vec<ProtocolKind> = support.iter().filter_map(|s| s.protocol()).collect();
+        // The bridge forwards every address phase, so wrappers integrate
+        // at the fabric-wide meet, which equals the flat reduction (the
+        // lattice is a chain).
         let system_protocol = if native.is_empty() {
             None
         } else {
             Some(reduce(&native).expect("native protocols reduce"))
         };
-        // Per-segment GCS meets. The bridge forwards every address phase,
-        // so wrappers integrate at the fabric-wide meet (== the flat
-        // reduction, the lattice being a chain); the per-segment view is
-        // kept for reporting and the fabric benchmarks.
         let segment_map: Vec<usize> = if spec.segment_map.is_empty() {
             vec![0; spec.cpus.len()]
         } else {
@@ -211,28 +216,17 @@ impl<O: Observer> System<O> {
             spec.segment_map.clone()
         };
         let segments = segment_map.iter().max().map_or(1, |&m| m + 1);
-        let per_cpu: Vec<Option<ProtocolKind>> = support.iter().map(|s| s.protocol()).collect();
-        let (segment_protocols, fabric_protocol) =
-            reduce_segments(&per_cpu, &segment_map, segments).expect("native protocols reduce");
-        debug_assert_eq!(
-            fabric_protocol, system_protocol,
-            "chain lattice: fabric meet equals flat reduction"
-        );
 
         let mut nodes = Vec::with_capacity(spec.cpus.len());
         for (i, (cs, program)) in spec.cpus.iter().zip(programs).enumerate() {
             let (cache_protocol, wrapper, cam) = match cs.coherence {
                 CoherenceSupport::Native(own) => {
-                    let policy = match spec.wrapper_mode {
-                        WrapperMode::Paper => None, // derive below
-                        WrapperMode::Transparent => Some(WrapperPolicy::TRANSPARENT),
-                    };
-                    let wrapper = match policy {
-                        Some(p) => Wrapper::new(own, p),
-                        None => Wrapper::for_system(
+                    let wrapper = match spec.wrapper_mode {
+                        WrapperMode::Paper => Wrapper::for_system(
                             own,
                             system_protocol.expect("native CPU implies protocols"),
                         ),
+                        WrapperMode::Transparent => Wrapper::new(own, WrapperPolicy::TRANSPARENT),
                     };
                     (own, Some(wrapper), None)
                 }
@@ -275,9 +269,6 @@ impl<O: Observer> System<O> {
 
         let cpu_count = nodes.len();
         let mut bus = Bus::new(cpu_count);
-        bus.set_arbitration(spec.arbitration);
-        bus.set_retry_backoff(spec.retry_backoff);
-        bus.set_recovery(spec.recovery);
         if segments > 1 {
             bus.set_segments(&segment_map, segments, spec.bridge_latency);
         }
@@ -293,8 +284,6 @@ impl<O: Observer> System<O> {
                 }
             }
         }
-        let recovery_armed = bus.recovery_armed();
-        let counters = CounterBank::new(nodes.len());
         let metrics = (spec.span_capacity > 0).then(|| {
             let event_capacity = if spec.trace_capacity > 0 {
                 spec.trace_capacity
@@ -302,15 +291,16 @@ impl<O: Observer> System<O> {
                 spec.span_capacity.saturating_mul(8)
             };
             Box::new(MetricsObserver::new(
-                nodes.len(),
+                cpu_count,
                 spec.span_capacity,
                 event_capacity,
             ))
         });
         let series = spec.timeseries.map(|ts| {
             let map: Vec<u8> = segment_map.iter().map(|&s| s as u8).collect();
-            Box::new(MetricsRegistry::new(nodes.len(), segments, &map, ts))
+            Box::new(MetricsRegistry::new(cpu_count, segments, &map, ts))
         });
+        let run = RunState::start(spec, &mut bus, cpu_count);
         System {
             bus,
             nodes,
@@ -320,13 +310,8 @@ impl<O: Observer> System<O> {
             checker: spec
                 .check_coherence
                 .then(|| CoherenceChecker::new(spec.memory_bytes, 64)),
-            watchdog: Watchdog::new(Cycle::new(spec.watchdog_window)),
-            counters,
-            obs: SystemSink {
-                metrics,
-                series,
-                inner: obs,
-            },
+            counters: CounterBank::new(cpu_count),
+            obs: SystemSink { metrics, series },
             invariants: spec.check_invariants.then(|| {
                 let mut inv = InvariantObserver::new();
                 if segments > 1 {
@@ -334,28 +319,13 @@ impl<O: Observer> System<O> {
                 }
                 inv
             }),
-            faults: spec
-                .faults
-                .as_ref()
-                .filter(|p| !p.specs().is_empty())
-                .map(|p| Box::new(FaultEngine::new(p.clone(), cpu_count))),
-            recovery_armed,
             phase_scratch: AddressPhase::new(),
             cpu_names: spec.cpus.iter().map(|c| c.name.clone()).collect(),
-            now: Cycle::ZERO,
             class,
             system_protocol,
-            segment_protocols,
-            snoop_logic_enabled: true,
-            kernel: Kernel::default(),
-            halted_cpus: 0,
             sched: EventSchedule::new(cpu_count),
-            progress: 0,
-            bus_next_abs: NO_EVENT,
-            bus_sched_dirty: true,
             spec: spec.clone(),
-            profile: spec.profile,
-            prof: ProfCounters::default(),
+            run,
         }
     }
 
@@ -373,13 +343,13 @@ impl<O: Observer> System<O> {
     /// schedule, and the profile flag — may differ freely and is applied
     /// in place.
     ///
-    /// On success the platform is byte-identical to a freshly constructed
-    /// `System::with_observer(spec, programs, ..)` except for the user
-    /// observer, which is carried over untouched (reset it yourself if it
-    /// accumulates state — the sweep paths run unobserved). The kernel
-    /// selection and snoop-logic gate also return to their construction
-    /// defaults; re-apply [`System::set_kernel`] /
-    /// [`System::set_snoop_logic_enabled`] as the constructor's callers do.
+    /// On success the platform is byte-identical to a fresh
+    /// `System::new(spec, programs)`: the components return to their
+    /// construction state, and the per-run state — including the kernel
+    /// selection and the snoop-logic gate — comes from the same
+    /// `RunState::start` the constructor calls. Re-apply
+    /// [`System::set_kernel`] / [`System::set_snoop_logic_enabled`] as the
+    /// constructor's callers do.
     ///
     /// The memory and golden images are paged: a reset zeroes only the
     /// pages earlier runs wrote and keeps them mapped, so it costs what
@@ -442,14 +412,9 @@ impl<O: Observer> System<O> {
             node.pending = None;
             node.was_halted = false;
         }
+        // `Bus::reset` keeps the recovery overrides, which the shape
+        // check holds equal.
         self.bus.reset();
-        self.bus.set_arbitration(spec.arbitration);
-        self.bus.set_retry_backoff(spec.retry_backoff);
-        self.bus.set_recovery(spec.recovery);
-        // recovery_overrides are shape-checked equal above and preserved
-        // by Bus::reset, so recovery_armed only needs recomputing for the
-        // bus-wide policy change.
-        self.recovery_armed = self.bus.recovery_armed();
         self.mem.reset(spec.latency);
         for device in &mut self.devices {
             device.reset();
@@ -457,7 +422,6 @@ impl<O: Observer> System<O> {
         if let Some(checker) = &mut self.checker {
             checker.reset();
         }
-        self.watchdog = Watchdog::new(Cycle::new(spec.watchdog_window));
         self.counters.reset();
         if let Some(metrics) = &mut self.obs.metrics {
             metrics.reset();
@@ -468,22 +432,9 @@ impl<O: Observer> System<O> {
         if let Some(inv) = &mut self.invariants {
             inv.reset();
         }
-        self.faults = spec
-            .faults
-            .as_ref()
-            .filter(|p| !p.specs().is_empty())
-            .map(|p| Box::new(FaultEngine::new(p.clone(), self.nodes.len())));
         self.phase_scratch.reset();
-        self.now = Cycle::ZERO;
-        self.snoop_logic_enabled = true;
-        self.kernel = Kernel::default();
-        self.halted_cpus = 0;
         self.sched.reset();
-        self.progress = 0;
-        self.bus_next_abs = NO_EVENT;
-        self.bus_sched_dirty = true;
-        self.profile = spec.profile;
-        self.prof = ProfCounters::default();
+        self.run = RunState::start(spec, &mut self.bus, self.nodes.len());
         Ok(())
     }
 
@@ -491,10 +442,10 @@ impl<O: Observer> System<O> {
     /// software-drain baselines, which exist precisely to avoid needing
     /// that hardware).
     pub fn set_snoop_logic_enabled(&mut self, enabled: bool) {
-        self.snoop_logic_enabled = enabled;
+        self.run.snoop_logic_enabled = enabled;
         // Pending-nFIQ visibility feeds every node's event horizon.
         self.sched.mark_all_dirty();
-        self.bus_sched_dirty = true;
+        self.run.bus_sched_dirty = true;
     }
 
     /// Selects how [`System::run`] and [`System::advance`] move time
@@ -502,14 +453,14 @@ impl<O: Observer> System<O> {
     /// cycles; [`Kernel::Step`] executes every cycle (the reference the
     /// fast-forward kernel is validated against).
     pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
+        self.run.kernel = kernel;
         self.sched.mark_all_dirty();
-        self.bus_sched_dirty = true;
+        self.run.bus_sched_dirty = true;
     }
 
     /// The configured simulation kernel.
     pub fn kernel(&self) -> Kernel {
-        self.kernel
+        self.run.kernel
     }
 
     /// Attaches an extra bus device; its index must match the
@@ -521,7 +472,7 @@ impl<O: Observer> System<O> {
 
     /// Current bus time.
     pub fn now(&self) -> Cycle {
-        self.now
+        self.run.now
     }
 
     /// The Table 1 platform class.
@@ -532,18 +483,6 @@ impl<O: Observer> System<O> {
     /// The reduced system protocol, if any processor is coherent.
     pub fn system_protocol(&self) -> Option<ProtocolKind> {
         self.system_protocol
-    }
-
-    /// Number of bus segments in the fabric (1 on flat-bus platforms).
-    pub fn segments(&self) -> usize {
-        self.segment_protocols.len()
-    }
-
-    /// The GCS meet of one segment's coherent masters (`None` when the
-    /// segment has none). The fabric-wide meet across the bridge equals
-    /// [`System::system_protocol`].
-    pub fn segment_protocol(&self, segment: usize) -> Option<ProtocolKind> {
-        self.segment_protocols[segment]
     }
 
     /// Grants per master so far (drains and retry re-grants included) —
@@ -591,17 +530,6 @@ impl<O: Observer> System<O> {
         &self.counters
     }
 
-    /// The event observer.
-    pub fn observer(&self) -> &O {
-        &self.obs.inner
-    }
-
-    /// Mutable access to the event observer (e.g. to clear a trace ring
-    /// between phases of a test).
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs.inner
-    }
-
     /// Processor names from the spec, in master-index order (labels the
     /// per-CPU tracks of an exported trace).
     pub fn cpu_names(&self) -> &[String] {
@@ -631,7 +559,7 @@ impl<O: Observer> System<O> {
     /// their transition points), so the common "not finished" answer is
     /// O(1); only a platform that looks finished pays the CAM scan.
     pub fn finished(&self) -> bool {
-        self.halted_cpus == self.nodes.len()
+        self.run.halted_cpus == self.nodes.len()
             && self.bus.phase() == BusPhase::Idle
             && self.bus.queued_drains() == 0
             && self
@@ -644,10 +572,10 @@ impl<O: Observer> System<O> {
     pub fn step(&mut self) {
         // A full step can grant, retry, complete, or submit — all of
         // which move the bus's event horizon.
-        self.bus_sched_dirty = true;
-        self.now.tick();
+        self.run.bus_sched_dirty = true;
+        self.run.now.tick();
         if let Some(ts) = &mut self.obs.series {
-            ts.record_full_step(self.now);
+            ts.record_full_step(self.run.now);
         }
         self.fire_faults();
         self.step_bus();
@@ -668,16 +596,16 @@ impl<O: Observer> System<O> {
     /// [`System::step_cpu_only`], which ticks just the due CPUs (recorded
     /// in the `active` bitmask) and bulk-advances the rest.
     fn plan(&mut self, max_cycles: u64) -> (u64, u64, bool) {
-        let now = self.now.as_u64();
+        let now = self.run.now.as_u64();
         // Budget and watchdog horizons: the stepped cycle after the skip
         // must land on (or before) both.
         let mut horizon = max_cycles.saturating_sub(now);
-        if let Some(deadline) = self.watchdog.deadline() {
+        if let Some(deadline) = self.run.watchdog.deadline() {
             horizon = horizon.min(deadline.as_u64().saturating_sub(now));
         }
         // A fault fire cycle is an event: the stepped cycle must land on
         // it so `fire_faults` runs there in both kernels.
-        if let Some(engine) = &self.faults {
+        if let Some(engine) = &self.run.faults {
             if let Some(at) = engine.plan.next_fire_at() {
                 horizon = horizon.min(at.saturating_sub(now).max(1));
             }
@@ -685,14 +613,14 @@ impl<O: Observer> System<O> {
         // The bus's event horizon is rescanned only when a step, a
         // submission, or a fault actually moved it; in absolute cycles
         // it is invariant under warps and CPU-only ticks.
-        if self.bus_sched_dirty {
-            self.bus_next_abs = match self.bus.next_event() {
+        if self.run.bus_sched_dirty {
+            self.run.bus_next_abs = match self.bus.next_event() {
                 Some(delta) => now + delta,
                 None => NO_EVENT,
             };
-            self.bus_sched_dirty = false;
+            self.run.bus_sched_dirty = false;
         }
-        let bus_abs = self.bus_next_abs;
+        let bus_abs = self.run.bus_next_abs;
         if bus_abs != NO_EVENT {
             debug_assert!(bus_abs > now, "bus events are strictly in the future");
             horizon = horizon.min(bus_abs - now);
@@ -728,7 +656,7 @@ impl<O: Observer> System<O> {
     /// fault-masked interrupt.
     fn node_event_abs(&self, i: usize, now: u64) -> u64 {
         let node = &self.nodes[i];
-        let cam_pending = self.snoop_logic_enabled
+        let cam_pending = self.run.snoop_logic_enabled
             && node
                 .cam
                 .as_ref()
@@ -736,7 +664,7 @@ impl<O: Observer> System<O> {
         // An injected nFIQ mask hides the pending interrupt from the
         // CPU; the unmask cycle (if finite) becomes the node's event
         // instead — the first tick that can see the line again.
-        let mask_until = self.faults.as_ref().map_or(0, |e| e.nfiq_mask_until[i]);
+        let mask_until = self.run.faults.as_ref().map_or(0, |e| e.nfiq_mask_until[i]);
         let masked = now < mask_until;
         let nfiq_pending = cam_pending && !masked;
         let mut node_delta = node.cpu.core_cycles_to_event(nfiq_pending).map(|core| {
@@ -771,9 +699,9 @@ impl<O: Observer> System<O> {
             // (`Bus::warp` bulk-credits `data_cycles` identically).
             let busy = matches!(self.bus.phase(), BusPhase::Data { .. });
             let master = self.bus.active_master().map(MasterId::index);
-            ts.record_warp(self.now.as_u64() + 1, cycles, busy, master);
+            ts.record_warp(self.run.now.as_u64() + 1, cycles, busy, master);
         }
-        self.now += Cycle::new(cycles);
+        self.run.now += Cycle::new(cycles);
         self.bus.warp(cycles);
         for node in &mut self.nodes {
             node.cpu.warp(cycles * u64::from(node.mult));
@@ -787,12 +715,12 @@ impl<O: Observer> System<O> {
     /// per-cycle work reduces to the same countdown arithmetic as a
     /// one-cycle warp.
     fn step_cpu_only(&mut self, active: u64) {
-        self.now.tick();
+        self.run.now.tick();
         if let Some(ts) = &mut self.obs.series {
-            ts.record_cpu_only_step(self.now);
+            ts.record_cpu_only_step(self.run.now);
             if matches!(self.bus.phase(), BusPhase::Data { .. }) {
                 let master = self.bus.active_master().map(MasterId::index);
-                ts.record_busy_span(self.now.as_u64(), 1, master);
+                ts.record_busy_span(self.run.now.as_u64(), 1, master);
             }
         }
         self.fire_faults();
@@ -830,24 +758,24 @@ impl<O: Observer> System<O> {
         let t0 = Instant::now();
         let (skip, active, full) = self.plan(limit);
         let t1 = Instant::now();
-        self.prof.plan_ns += (t1 - t0).as_nanos() as u64;
+        self.run.prof.plan_ns += (t1 - t0).as_nanos() as u64;
         let mut t2 = t1;
         if skip > 0 {
             self.warp(skip);
-            self.prof.warped_cycles += skip;
+            self.run.prof.warped_cycles += skip;
             t2 = Instant::now();
-            self.prof.warp_ns += (t2 - t1).as_nanos() as u64;
+            self.run.prof.warp_ns += (t2 - t1).as_nanos() as u64;
         }
         if full {
             self.step();
-            self.prof.full_steps += 1;
-            self.prof.step_ns += t2.elapsed().as_nanos() as u64;
+            self.run.prof.full_steps += 1;
+            self.run.prof.step_ns += t2.elapsed().as_nanos() as u64;
         } else {
             self.step_cpu_only(active);
-            self.prof.cpu_only_steps += 1;
-            self.prof.cpu_only_ns += t2.elapsed().as_nanos() as u64;
+            self.run.prof.cpu_only_steps += 1;
+            self.run.prof.cpu_only_ns += t2.elapsed().as_nanos() as u64;
         }
-        self.prof.iterations += 1;
+        self.run.prof.iterations += 1;
     }
 
     /// Advances up to `cycles` bus cycles with the configured kernel,
@@ -855,9 +783,9 @@ impl<O: Observer> System<O> {
     /// [`System::run`] it neither polls the watchdog nor builds a
     /// [`RunResult`], so steady-state advancement stays allocation-free.
     pub fn advance(&mut self, cycles: u64) {
-        let target = self.now.as_u64().saturating_add(cycles);
-        while !self.finished() && self.now.as_u64() < target {
-            match self.kernel {
+        let target = self.run.now.as_u64().saturating_add(cycles);
+        while !self.finished() && self.run.now.as_u64() < target {
+            match self.run.kernel {
                 Kernel::FastForward => self.ff_iteration(target),
                 Kernel::Step => self.step(),
             }
@@ -877,18 +805,18 @@ impl<O: Observer> System<O> {
     /// invariant/watchdog checks happen only on stepped cycles; warped
     /// cycles are provably event-free, so those polls would be no-ops.
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
-        let wall_start = self.profile.then(Instant::now);
+        let wall_start = self.run.profile.then(Instant::now);
         let outcome = loop {
             if self.finished() {
                 break RunOutcome::Completed;
             }
-            if self.recovery_armed && self.degraded_finished() {
+            if self.run.recovery_armed && self.degraded_finished() {
                 break RunOutcome::Degraded {
                     quarantined: self.bus.quarantined_count() as u32,
-                    faults_absorbed: self.faults.as_ref().map_or(0, |e| e.fired),
+                    faults_absorbed: self.run.faults.as_ref().map_or(0, |e| e.fired),
                 };
             }
-            if self.now.as_u64() >= max_cycles {
+            if self.run.now.as_u64() >= max_cycles {
                 // A run that exhausts its budget after quarantining a
                 // master is a degraded survival, not an opaque timeout:
                 // spinning survivors (e.g. a lock waiter whose peer was
@@ -897,27 +825,27 @@ impl<O: Observer> System<O> {
                 if self.bus.quarantined_count() > 0 {
                     break RunOutcome::Degraded {
                         quarantined: self.bus.quarantined_count() as u32,
-                        faults_absorbed: self.faults.as_ref().map_or(0, |e| e.fired),
+                        faults_absorbed: self.run.faults.as_ref().map_or(0, |e| e.fired),
                     };
                 }
                 break RunOutcome::CycleLimit;
             }
-            match (self.kernel, self.profile) {
+            match (self.run.kernel, self.run.profile) {
                 (Kernel::FastForward, false) => self.ff_iteration(max_cycles),
                 (Kernel::FastForward, true) => self.profiled_ff_iteration(max_cycles),
                 (Kernel::Step, false) => self.step(),
                 (Kernel::Step, true) => {
                     let t = Instant::now();
                     self.step();
-                    self.prof.step_ns += t.elapsed().as_nanos() as u64;
-                    self.prof.full_steps += 1;
-                    self.prof.iterations += 1;
+                    self.run.prof.step_ns += t.elapsed().as_nanos() as u64;
+                    self.run.prof.full_steps += 1;
+                    self.run.prof.iterations += 1;
                 }
             }
             if self.invariant_violation().is_some() {
                 break RunOutcome::InvariantViolation;
             }
-            if self.watchdog.poll(self.now, self.progress) == WatchdogVerdict::Stalled
+            if self.run.watchdog.poll(self.run.now, self.run.progress) == WatchdogVerdict::Stalled
                 && !self.escalate_stall()
             {
                 break RunOutcome::Stalled;
@@ -931,37 +859,41 @@ impl<O: Observer> System<O> {
                 .map(|m| (m.spans().recent(8), m.spans().open_spans()))
                 .unwrap_or_default();
             HangReport {
-                stalled_at: self.now,
-                window: self.watchdog.window(),
+                stalled_at: self.run.now,
+                window: self.run.watchdog.window(),
                 last_spans,
                 open_spans,
             }
         });
-        let timeseries = self.obs.series.as_mut().map(|s| s.snapshot(self.now));
-        let profile = (self.profile || self.obs.series.is_some()).then(|| {
+        let timeseries = self.obs.series.as_mut().map(|s| s.snapshot(self.run.now));
+        let profile = (self.run.profile || self.obs.series.is_some()).then(|| {
             let wall_ns = wall_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
             KernelProfile {
-                kernel: self.kernel,
+                kernel: self.run.kernel,
                 wall_ns,
-                plan_ns: self.prof.plan_ns,
-                warp_ns: self.prof.warp_ns,
-                step_ns: self.prof.step_ns,
-                cpu_only_ns: self.prof.cpu_only_ns,
-                iterations: self.prof.iterations,
-                full_steps: self.prof.full_steps,
-                cpu_only_steps: self.prof.cpu_only_steps,
-                warped_cycles: self.prof.warped_cycles,
+                plan_ns: self.run.prof.plan_ns,
+                warp_ns: self.run.prof.warp_ns,
+                step_ns: self.run.prof.step_ns,
+                cpu_only_ns: self.run.prof.cpu_only_ns,
+                iterations: self.run.prof.iterations,
+                full_steps: self.run.prof.full_steps,
+                cpu_only_steps: self.run.prof.cpu_only_steps,
+                warped_cycles: self.run.prof.warped_cycles,
                 cycles_per_sec: if wall_ns > 0 {
-                    self.now.as_u64() as f64 / (wall_ns as f64 / 1e9)
+                    self.run.now.as_u64() as f64 / (wall_ns as f64 / 1e9)
                 } else {
                     0.0
                 },
-                mix: self.obs.series.as_mut().map(|s| s.snapshot_mix(self.now)),
+                mix: self
+                    .obs
+                    .series
+                    .as_mut()
+                    .map(|s| s.snapshot_mix(self.run.now)),
             }
         });
         RunResult {
             outcome,
-            cycles: self.now,
+            cycles: self.run.now,
             bus: self.bus.stats(),
             cpus: self.nodes.iter().map(|n| n.cpu.counters()).collect(),
             stats: self.counters.clone(),
@@ -977,7 +909,7 @@ impl<O: Observer> System<O> {
                 .as_ref()
                 .and_then(|i| i.violation())
                 .cloned(),
-            faults_injected: self.faults.as_ref().map_or(0, |e| e.fired),
+            faults_injected: self.run.faults.as_ref().map_or(0, |e| e.fired),
             timeseries,
             profile,
         }
@@ -1001,12 +933,17 @@ impl<O: Observer> System<O> {
         {
             return false;
         }
-        let now = self.now.as_u64();
+        let now = self.run.now.as_u64();
         self.nodes.iter().enumerate().all(|(i, n)| {
             self.bus.is_quarantined(MasterId(i))
                 || (n.cpu.is_halted()
                     && n.cam.as_ref().is_none_or(|c| {
-                        !c.nfiq() || self.faults.as_ref().is_some_and(|e| e.nfiq_masked(i, now))
+                        !c.nfiq()
+                            || self
+                                .run
+                                .faults
+                                .as_ref()
+                                .is_some_and(|e| e.nfiq_masked(i, now))
                     }))
         })
     }
@@ -1027,15 +964,15 @@ impl<O: Observer> System<O> {
             if self.nodes[i].pending.is_some() && self.bus.quarantine(MasterId(i)) {
                 any = true;
                 self.obs
-                    .on_event(self.now, SimEvent::MasterQuarantined { master: i });
+                    .on_event(self.run.now, SimEvent::MasterQuarantined { master: i });
             }
         }
         if any {
-            self.watchdog.rebaseline(self.now);
+            self.run.watchdog.rebaseline(self.run.now);
             // Quarantines kill outstanding transactions; every node's
             // event horizon may have moved.
             self.sched.mark_all_dirty();
-            self.bus_sched_dirty = true;
+            self.run.bus_sched_dirty = true;
         }
         any
     }
@@ -1051,9 +988,9 @@ impl<O: Observer> System<O> {
         }
         if self.bus.quarantine(master) {
             self.sched.mark_all_dirty();
-            self.bus_sched_dirty = true;
+            self.run.bus_sched_dirty = true;
             self.obs.on_event(
-                self.now,
+                self.run.now,
                 SimEvent::MasterQuarantined {
                     master: master.index(),
                 },
@@ -1069,7 +1006,7 @@ impl<O: Observer> System<O> {
         self.bus.begin_cycle();
         match self.bus.phase() {
             BusPhase::Idle => {
-                if let Some(txn) = self.bus.try_grant(self.now, &mut self.obs) {
+                if let Some(txn) = self.bus.try_grant(self.run.now, &mut self.obs) {
                     let outcome = if self.fault_kills_grant(txn.master.index(), txn.is_drain) {
                         self.counters.bump_retry(RetryCause::Injected);
                         self.emit_retry(&txn, RetryCause::Injected);
@@ -1078,10 +1015,10 @@ impl<O: Observer> System<O> {
                         self.snoop_and_decide(&txn)
                     };
                     let retried = outcome == AddressOutcome::Retry;
-                    if let Some(done) = self.bus.resolve(outcome, self.now, &mut self.obs) {
+                    if let Some(done) = self.bus.resolve(outcome, self.run.now, &mut self.obs) {
                         self.complete_txn(done);
                     }
-                    if retried && self.recovery_armed && !txn.is_drain {
+                    if retried && self.run.recovery_armed && !txn.is_drain {
                         self.maybe_quarantine(txn.master);
                     }
                 }
@@ -1091,9 +1028,9 @@ impl<O: Observer> System<O> {
                     // Capture the driving master before `advance_data` —
                     // a completing phase clears the active transaction.
                     let master = self.bus.active_master().map(MasterId::index);
-                    ts.record_busy_span(self.now.as_u64(), 1, master);
+                    ts.record_busy_span(self.run.now.as_u64(), 1, master);
                 }
-                if let Some(done) = self.bus.advance_data(self.now, &mut self.obs) {
+                if let Some(done) = self.bus.advance_data(self.run.now, &mut self.obs) {
                     self.complete_txn(done);
                 }
             }
@@ -1112,7 +1049,7 @@ impl<O: Observer> System<O> {
         // skips the per-tick dispatch. Under [`Kernel::Step`] the planner
         // never runs, every node stays dirty, and this degenerates to
         // ticking everyone — the reference behavior.
-        let now = self.now.as_u64();
+        let now = self.run.now.as_u64();
         for i in 0..self.nodes.len() {
             if self.sched.is_dirty(i) || self.sched.next_of(i) <= now {
                 self.sched.mark_dirty(i);
@@ -1129,10 +1066,11 @@ impl<O: Observer> System<O> {
     /// [`System::step_cpu_only`].
     fn tick_node(&mut self, i: usize) {
         let masked = self
+            .run
             .faults
             .as_ref()
-            .is_some_and(|e| e.nfiq_masked(i, self.now.as_u64()));
-        let nfiq = if self.snoop_logic_enabled && !masked {
+            .is_some_and(|e| e.nfiq_masked(i, self.run.now.as_u64()));
+        let nfiq = if self.run.snoop_logic_enabled && !masked {
             self.nodes[i].cam.as_ref().and_then(|c| c.next_pending())
         } else {
             None
@@ -1141,12 +1079,12 @@ impl<O: Observer> System<O> {
         let mult = self.nodes[i].mult;
         let committed_before = self.nodes[i].cpu.committed();
         for _ in 0..mult {
-            match self.nodes[i].cpu.tick(self.now, &mut self.obs) {
+            match self.nodes[i].cpu.tick(self.run.now, &mut self.obs) {
                 CpuAction::Idle | CpuAction::Halted => {}
                 CpuAction::Issue(req) => self.handle_request(i, req),
             }
         }
-        self.progress += self.nodes[i].cpu.committed() - committed_before;
+        self.run.progress += self.nodes[i].cpu.committed() - committed_before;
         // Halt transitions happen only inside `Cpu::tick` (program end,
         // ISR entry on a halted core, ISR exit restoring a halted
         // core), so this is the one place the counter needs updating.
@@ -1155,19 +1093,19 @@ impl<O: Observer> System<O> {
         if halted != node.was_halted {
             node.was_halted = halted;
             if halted {
-                self.halted_cpus += 1;
+                self.run.halted_cpus += 1;
             } else {
-                self.halted_cpus -= 1;
+                self.run.halted_cpus -= 1;
             }
         }
     }
 }
 
-impl<O: Observer> core::fmt::Debug for System<O> {
+impl core::fmt::Debug for System {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("System")
             .field("cpus", &self.nodes.len())
-            .field("now", &self.now)
+            .field("now", &self.run.now)
             .field("class", &self.class)
             .field("system_protocol", &self.system_protocol)
             .finish_non_exhaustive()

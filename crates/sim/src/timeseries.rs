@@ -153,37 +153,6 @@ impl MetricsRegistry {
         self.data.fill(0);
     }
 
-    /// Whether this registry's shape matches the given configuration
-    /// (same masters, segments, mapping and spec) — the precondition for
-    /// reusing it across runs via [`MetricsRegistry::reset`].
-    pub fn shape_matches(
-        &self,
-        masters: usize,
-        segments: usize,
-        segment_map: &[u8],
-        spec: TimeSeriesSpec,
-    ) -> bool {
-        let mut map = [0u8; 64];
-        let same_map = if masters <= 64 {
-            let m = &mut map[..masters];
-            for (i, s) in segment_map.iter().enumerate().take(masters) {
-                m[i] = *s;
-            }
-            *self.segment_map == m[..masters]
-        } else {
-            let mut m = vec![0u8; masters];
-            for (i, s) in segment_map.iter().enumerate().take(masters) {
-                m[i] = *s;
-            }
-            *self.segment_map == m[..]
-        };
-        self.masters == masters
-            && self.segments == segments.max(1)
-            && same_map
-            && self.window == spec.window
-            && self.capacity == spec.capacity
-    }
-
     /// Total channel count.
     fn channels(&self) -> usize {
         self.cur.len()

@@ -285,19 +285,14 @@ fn platform_spec(spec: &RunSpec) -> (PlatformSpec, MemLayout) {
 }
 
 /// Builds the platform and programs for `spec` without running — useful
-/// for tests that want to inspect intermediate state.
+/// for tests that want to inspect intermediate state. This is a fresh
+/// [`Runner`]'s first [`Runner::prepare`], which always builds.
 pub fn prepare(spec: &RunSpec) -> System {
-    let (pspec, lay) = platform_spec(spec);
-    let programs = build_programs_for(
-        spec.scenario,
-        spec.strategy,
-        &spec.params,
-        &lay,
-        pspec.cpus.len(),
-    );
-    let mut sys = presets::instantiate(&pspec, spec.strategy, programs);
-    sys.set_kernel(spec.kernel);
-    sys
+    let mut runner = Runner::new();
+    runner.prepare(spec);
+    runner
+        .sys
+        .expect("a fresh runner builds on its first prepare")
 }
 
 /// Runs one microbenchmark to completion and returns its result.
@@ -373,8 +368,10 @@ impl Runner {
             None => self.reuses += 1,
             // Shape changed (or first run): build the platform around the
             // programs handed back. Rare by design; the steady state is
-            // the reuse arm.
+            // the reuse arm. The old platform goes first, so a rebuild
+            // never holds two and the new one reuses the freed memory.
             Some(programs) => {
+                self.sys = None;
                 self.sys = Some(System::new(&pspec, programs));
                 self.rebuilds += 1;
             }
