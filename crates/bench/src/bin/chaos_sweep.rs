@@ -38,9 +38,9 @@ fn main() {
             "{:<20} {:>10} {:>15} {:>18} {:>10} {:>7}  {}",
             c.kind.key(),
             hmp_bench::chaos::platform_key(c.platform),
-            hmp_bench::chaos::strategy_key(c.strategy),
+            c.strategy.key(),
             c.detector.key(),
-            hmp_bench::chaos::outcome_key(c.result.outcome),
+            c.result.outcome.key(),
             c.result.cycles_u64(),
             c.kernels_agree,
         );

@@ -12,7 +12,7 @@
 //! (round-robin / FCFS) hands out grant shares far from 1/N, or if fixed
 //! priority fails to starve the lowest-priority master.
 
-use hmp_bench::fabric::{arbitration_key, fabric_json, run_grid};
+use hmp_bench::fabric::{fabric_json, run_grid};
 use hmp_bench::json::bench_json_dir;
 use hmp_bench::sweep::default_workers;
 use hmp_bus::ArbitrationPolicy;
@@ -65,8 +65,8 @@ fn main() {
             "{:>7} {:>8} {:>15} {:>10} {:>9} {:>6.3} {:>11.4} {:>11.4}  [{}]",
             c.masters,
             c.segments,
-            arbitration_key(c.arbitration),
-            hmp_bench::chaos::outcome_key(c.result.outcome),
+            c.arbitration.key(),
+            c.result.outcome.key(),
             c.result.cycles_u64(),
             c.utilization(),
             c.max_share_error(),
@@ -98,7 +98,7 @@ fn main() {
                     "{}x{} {}: fair discipline did not complete: {}",
                     c.masters,
                     c.segments,
-                    arbitration_key(c.arbitration),
+                    c.arbitration.key(),
                     c.result
                 );
                 assert!(
@@ -106,7 +106,7 @@ fn main() {
                     "{}x{} {}: share error {:.4} exceeds {:.2} (shares {:?})",
                     c.masters,
                     c.segments,
-                    arbitration_key(c.arbitration),
+                    c.arbitration.key(),
                     c.max_share_error(),
                     FAIR_SHARE_TOLERANCE,
                     c.shares(),
@@ -116,7 +116,7 @@ fn main() {
                     "{}x{} {}: no telemetry window cleared the grant floor",
                     c.masters,
                     c.segments,
-                    arbitration_key(c.arbitration),
+                    c.arbitration.key(),
                 );
                 assert!(
                     c.max_windowed_share_error() <= WINDOW_FAIR_TOLERANCE,
@@ -124,7 +124,7 @@ fn main() {
                      transient starvation inside a window",
                     c.masters,
                     c.segments,
-                    arbitration_key(c.arbitration),
+                    c.arbitration.key(),
                     c.max_windowed_share_error(),
                     WINDOW_FAIR_TOLERANCE,
                 );

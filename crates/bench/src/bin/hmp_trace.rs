@@ -18,8 +18,8 @@
 
 use hmp_bus::ArbitrationPolicy;
 use hmp_cache::ProtocolKind;
-use hmp_platform::Strategy;
-use hmp_sim::export::{chrome_trace_with_series, metrics_json, timeseries_json, validate_json};
+use hmp_platform::{metrics_json, Strategy};
+use hmp_sim::export::{chrome_trace_with_series, timeseries_json, validate_json};
 use hmp_sim::{exposition, TimeSeriesSpec};
 use hmp_workloads::{prepare, MicrobenchParams, PlatformPick, RunSpec, Scenario};
 
@@ -262,7 +262,7 @@ fn main() {
     std::fs::write(&cli.trace_out, &trace)
         .unwrap_or_else(|e| panic!("write {}: {e}", cli.trace_out));
 
-    let mjson = metrics_json(&metrics.snapshot());
+    let mjson = metrics_json(&result).expect("span capacity > 0 enables metrics");
     validate_json(&mjson).expect("exporter produced invalid metrics JSON");
     std::fs::write(&cli.metrics_out, &mjson)
         .unwrap_or_else(|e| panic!("write {}: {e}", cli.metrics_out));

@@ -12,7 +12,7 @@ use crate::sweep::par_map;
 use hmp_bus::RecoveryPolicy;
 use hmp_cache::ProtocolKind;
 use hmp_platform::chaos::{Coverage, Detector};
-use hmp_platform::{Kernel, RunOutcome, RunResult, Strategy};
+use hmp_platform::{Kernel, RunResult, Strategy};
 use hmp_sim::FaultKind;
 use hmp_workloads::{run, FaultDirective, MicrobenchParams, PlatformPick, RunSpec, Scenario};
 use std::fmt::Write as _;
@@ -64,26 +64,6 @@ pub fn platform_key(platform: PlatformPick) -> &'static str {
         PlatformPick::Pf1Dual => "pf1_dual",
         PlatformPick::Pair(..) => "mesi_moesi",
         PlatformPick::Fabric { .. } => "fabric",
-    }
-}
-
-/// Stable snake_case key for a strategy (JSON field value).
-pub fn strategy_key(strategy: Strategy) -> &'static str {
-    match strategy {
-        Strategy::CacheDisabled => "cache_disabled",
-        Strategy::SoftwareDrain => "software_drain",
-        Strategy::Proposed => "proposed",
-    }
-}
-
-/// Stable snake_case key for a run outcome (JSON field value).
-pub fn outcome_key(outcome: RunOutcome) -> &'static str {
-    match outcome {
-        RunOutcome::Completed => "completed",
-        RunOutcome::Stalled => "stalled",
-        RunOutcome::CycleLimit => "cycle_limit",
-        RunOutcome::InvariantViolation => "invariant_violation",
-        RunOutcome::Degraded { .. } => "degraded",
     }
 }
 
@@ -288,9 +268,9 @@ pub fn chaos_json(reduced: bool, cells: &[ChaosCell], rows: &[CoverageRow]) -> S
             ),
             c.kind.key(),
             platform_key(c.platform),
-            strategy_key(c.strategy),
+            c.strategy.key(),
             c.detector.key(),
-            outcome_key(c.result.outcome),
+            c.result.outcome.key(),
             c.result.cycles_u64(),
             c.result.faults_injected,
             c.kernels_agree,
@@ -328,6 +308,7 @@ pub fn chaos_json(reduced: bool, cells: &[ChaosCell], rows: &[CoverageRow]) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmp_platform::RunOutcome;
     use hmp_sim::export::validate_json;
 
     #[test]
@@ -402,13 +383,14 @@ mod tests {
             "mesi_moesi"
         );
         assert_eq!(platform_key(BRIDGE_PLATFORM), "fabric");
-        assert_eq!(strategy_key(Strategy::SoftwareDrain), "software_drain");
-        assert_eq!(outcome_key(RunOutcome::Completed), "completed");
+        assert_eq!(Strategy::SoftwareDrain.key(), "software_drain");
+        assert_eq!(RunOutcome::Completed.key(), "completed");
         assert_eq!(
-            outcome_key(RunOutcome::Degraded {
+            RunOutcome::Degraded {
                 quarantined: 1,
                 faults_absorbed: 1
-            }),
+            }
+            .key(),
             "degraded"
         );
     }

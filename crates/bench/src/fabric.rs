@@ -9,7 +9,6 @@
 //! and FCFS grant shares approach 1/N under symmetric load, while fixed
 //! priority starves the lowest-priority master outright.
 
-use crate::chaos::outcome_key;
 use crate::sweep::par_map;
 use hmp_bus::ArbitrationPolicy;
 use hmp_cache::ProtocolKind;
@@ -44,25 +43,8 @@ pub fn fabric_masters(reduced: bool) -> &'static [u8] {
     }
 }
 
-/// Every arbitration discipline the bus supports.
-pub const FABRIC_ARBITRATIONS: [ArbitrationPolicy; 3] = [
-    ArbitrationPolicy::RoundRobin,
-    ArbitrationPolicy::FixedPriority,
-    ArbitrationPolicy::Fcfs,
-];
-
 /// Segment counts: a flat bus and a two-segment bridged fabric.
 pub const FABRIC_SEGMENTS: [u8; 2] = [1, 2];
-
-/// Stable snake_case key for an arbitration discipline (JSON field
-/// value).
-pub fn arbitration_key(arbitration: ArbitrationPolicy) -> &'static str {
-    match arbitration {
-        ArbitrationPolicy::RoundRobin => "round_robin",
-        ArbitrationPolicy::FixedPriority => "fixed_priority",
-        ArbitrationPolicy::Fcfs => "fcfs",
-    }
-}
 
 /// The symmetric WCS workload every fabric cell runs: every master
 /// contends for the same lock-guarded lines, so a fair arbiter should
@@ -219,7 +201,7 @@ pub fn run_cell(masters: u8, segments: u8, arbitration: ArbitrationPolicy) -> Fa
 pub fn run_grid(reduced: bool, workers: usize) -> Vec<FabricCell> {
     let mut points = Vec::new();
     for &masters in fabric_masters(reduced) {
-        for arbitration in FABRIC_ARBITRATIONS {
+        for arbitration in ArbitrationPolicy::ALL {
             for segments in FABRIC_SEGMENTS {
                 points.push((masters, segments, arbitration));
             }
@@ -258,8 +240,8 @@ pub fn fabric_json(reduced: bool, cells: &[FabricCell]) -> String {
             ),
             c.masters,
             c.segments,
-            arbitration_key(c.arbitration),
-            outcome_key(c.result.outcome),
+            c.arbitration.key(),
+            c.result.outcome.key(),
             c.result.cycles_u64(),
             c.kernels_agree,
             c.utilization(),
@@ -345,7 +327,7 @@ mod tests {
     fn grid_axes_cover_the_issue_floor() {
         assert_eq!(fabric_masters(false), &[2, 3, 4, 6, 8]);
         assert_eq!(fabric_masters(true), &[2, 4]);
-        assert_eq!(FABRIC_ARBITRATIONS.len(), 3);
+        assert_eq!(ArbitrationPolicy::ALL.len(), 3);
         assert_eq!(FABRIC_SEGMENTS, [1, 2]);
     }
 
@@ -420,14 +402,8 @@ mod tests {
 
     #[test]
     fn arbitration_keys_are_stable() {
-        assert_eq!(
-            arbitration_key(ArbitrationPolicy::RoundRobin),
-            "round_robin"
-        );
-        assert_eq!(
-            arbitration_key(ArbitrationPolicy::FixedPriority),
-            "fixed_priority"
-        );
-        assert_eq!(arbitration_key(ArbitrationPolicy::Fcfs), "fcfs");
+        assert_eq!(ArbitrationPolicy::RoundRobin.key(), "round_robin");
+        assert_eq!(ArbitrationPolicy::FixedPriority.key(), "fixed_priority");
+        assert_eq!(ArbitrationPolicy::Fcfs.key(), "fcfs");
     }
 }

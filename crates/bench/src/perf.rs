@@ -31,6 +31,7 @@
 //!   endpoint (96 cycles), where long data phases make dead cycles
 //!   dominate and the event-driven kernel pays off in full.
 
+use crate::chaos::{chaos_platforms, platform_key};
 use crate::{figure_params, sweep};
 use hmp_bus::ArbitrationPolicy;
 use hmp_cache::ProtocolKind;
@@ -40,17 +41,6 @@ use hmp_workloads::{PlatformPick, RunSpec, Runner, Scenario};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// The four platform classes every perf cell sweeps over.
-pub const PLATFORMS: [(&str, PlatformPick); 4] = [
-    ("ppc_arm", PlatformPick::PpcArm),
-    ("i486_ppc", PlatformPick::I486Ppc),
-    ("pf1_dual", PlatformPick::Pf1Dual),
-    (
-        "mesi_moesi",
-        PlatformPick::Pair(ProtocolKind::Mesi, ProtocolKind::Moesi),
-    ),
-];
-
 /// One (scenario, platform) measurement: simulated bus cycles per
 /// wall-clock second under each kernel, and whether the two kernels'
 /// full results compared equal.
@@ -58,7 +48,7 @@ pub const PLATFORMS: [(&str, PlatformPick); 4] = [
 pub struct PerfCell {
     /// Workload scenario.
     pub scenario: Scenario,
-    /// Platform slug from [`PLATFORMS`].
+    /// Platform slug ([`platform_key`]).
     pub platform: &'static str,
     /// Simulated cycles of one run of this cell.
     pub cycles: u64,
@@ -169,20 +159,17 @@ pub fn measure_spec_cell(platform: &'static str, spec: RunSpec, min_wall: Durati
 ///
 /// Panics if the run does not complete cleanly — a perf number for a
 /// deadlocked or incoherent run would be meaningless.
-pub fn measure_cell(
-    scenario: Scenario,
-    platform: (&'static str, PlatformPick),
-    min_wall: Duration,
-) -> PerfCell {
-    let spec = RunSpec::new(scenario, Strategy::Proposed, figure_params(16, 4)).on(platform.1);
-    measure_spec_cell(platform.0, spec, min_wall)
+pub fn measure_cell(scenario: Scenario, platform: PlatformPick, min_wall: Duration) -> PerfCell {
+    let spec = RunSpec::new(scenario, Strategy::Proposed, figure_params(16, 4)).on(platform);
+    measure_spec_cell(platform_key(platform), spec, min_wall)
 }
 
-/// Measures every scenario × platform cell, in scenario-major order.
+/// Measures every scenario × platform cell ([`chaos_platforms`]), in
+/// scenario-major order.
 pub fn measure_cells(min_wall: Duration) -> Vec<PerfCell> {
     let mut cells = Vec::new();
-    for scenario in [Scenario::Worst, Scenario::Typical, Scenario::Best] {
-        for platform in PLATFORMS {
+    for scenario in Scenario::ALL {
+        for platform in chaos_platforms() {
             cells.push(measure_cell(scenario, platform, min_wall));
         }
     }
@@ -433,7 +420,7 @@ mod tests {
 
     #[test]
     fn cell_measurement_is_equivalent_and_positive() {
-        let cell = measure_cell(Scenario::Worst, PLATFORMS[0], Duration::ZERO);
+        let cell = measure_cell(Scenario::Worst, PlatformPick::PpcArm, Duration::ZERO);
         assert!(cell.equivalent);
         assert!(cell.cycles > 0);
         assert!(cell.step_cps > 0.0);

@@ -182,13 +182,10 @@ fn four_master_bridged_fcfs_topology_agrees() {
 
 #[test]
 fn n_master_fabrics_agree_across_the_planner_size_threshold() {
-    // The event planner answers "earliest" with a dense linear scan up to
-    // 8 nodes and a lazy binary heap beyond that. Sweeping the master
-    // count across that threshold — 6 (linear), 9 (just over), 12 (deep
-    // in the heap path) — pins the property that equivalence is
-    // insensitive to which query structure served the run. Grant counts
-    // and the windowed telemetry series are compared alongside the full
-    // result.
+    // Fabrics wider than every preset — 6, 9 and 12 masters — pin that
+    // equivalence does not depend on the node count the planner scans.
+    // Grant counts and the windowed telemetry series are compared
+    // alongside the full result.
     for (masters, segments, arbitration) in [
         (6, 2, ArbitrationPolicy::RoundRobin),
         (9, 3, ArbitrationPolicy::Fcfs),

@@ -24,6 +24,24 @@ pub enum ArbitrationPolicy {
     Fcfs,
 }
 
+impl ArbitrationPolicy {
+    /// Every discipline the arbiter supports.
+    pub const ALL: [ArbitrationPolicy; 3] = [
+        ArbitrationPolicy::RoundRobin,
+        ArbitrationPolicy::FixedPriority,
+        ArbitrationPolicy::Fcfs,
+    ];
+
+    /// Stable snake_case key (the job wire format and JSON field value).
+    pub fn key(self) -> &'static str {
+        match self {
+            ArbitrationPolicy::RoundRobin => "round_robin",
+            ArbitrationPolicy::FixedPriority => "fixed_priority",
+            ArbitrationPolicy::Fcfs => "fcfs",
+        }
+    }
+}
+
 /// A fair round-robin arbiter over a fixed set of masters.
 ///
 /// The AMBA ASB leaves the arbitration algorithm to the implementation;

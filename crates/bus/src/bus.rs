@@ -106,7 +106,8 @@ impl RecoveryPolicy {
 /// Aggregate bus activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusStats {
-    /// Transactions granted (address phases started).
+    /// Transactions granted (address phases started): the sum of
+    /// [`Bus::master_grants`].
     pub grants: u64,
     /// Transactions killed by ARTRY.
     pub retries: u64,
@@ -116,6 +117,8 @@ pub struct BusStats {
     pub drains: u64,
     /// Total data-phase cycles streamed.
     pub data_cycles: u64,
+    /// Masters quarantined by the recovery policy.
+    pub quarantined: u64,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -180,7 +183,7 @@ pub struct Bus {
     stamp_mask: Vec<u64>,
     /// Grants per master (including drain grants and re-grants after
     /// ARTRY) — the numerator of the fairness studies' grant shares.
-    /// Kept outside [`BusStats`] so the aggregate struct stays `Copy`.
+    /// The only grant count: [`Bus::stats`] sums it.
     grants_per_master: Vec<u64>,
     /// Segment each master port is attached to. Single-segment fabrics
     /// map every master to segment 0.
@@ -460,9 +463,14 @@ impl Bus {
         self.phase
     }
 
-    /// Activity counters so far.
+    /// Activity counters so far. Grants and quarantines are derived
+    /// from the per-master state here, so each is counted once.
     pub fn stats(&self) -> BusStats {
-        self.stats
+        BusStats {
+            grants: self.grants_per_master.iter().sum(),
+            quarantined: self.quarantined_count() as u64,
+            ..self.stats
+        }
     }
 
     /// Submits a master's (single) CPU transaction, reported to `obs` as
@@ -685,7 +693,6 @@ impl Bus {
             shared: false,
             supplied: None,
         });
-        self.stats.grants += 1;
         obs.on_event(
             now,
             SimEvent::BusGrant {

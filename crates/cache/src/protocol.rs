@@ -270,6 +270,17 @@ impl ProtocolKind {
         ProtocolKind::Moesi,
     ];
 
+    /// Stable lowercase key (the job wire format).
+    pub fn key(self) -> &'static str {
+        match self {
+            ProtocolKind::Mei => "mei",
+            ProtocolKind::Msi => "msi",
+            ProtocolKind::Mesi => "mesi",
+            ProtocolKind::Moesi => "moesi",
+            ProtocolKind::Si => "si",
+        }
+    }
+
     /// Returns the transition table for this kind.
     #[inline]
     pub fn protocol(self) -> &'static Protocol {

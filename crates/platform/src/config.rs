@@ -31,6 +31,15 @@ impl Strategy {
         Strategy::Proposed,
     ];
 
+    /// Stable snake_case key (the job wire format and JSON field value).
+    pub fn key(self) -> &'static str {
+        match self {
+            Strategy::CacheDisabled => "cache_disabled",
+            Strategy::SoftwareDrain => "software_drain",
+            Strategy::Proposed => "proposed",
+        }
+    }
+
     /// Whether the shared-data window is cacheable under this strategy.
     pub fn shared_cacheable(self) -> bool {
         !matches!(self, Strategy::CacheDisabled)

@@ -45,7 +45,7 @@ pub use coherence::{AddressPhase, CompletionAction, LineData, Pending, PendingKi
 pub use config::{layout, CpuSpec, MemLayout, PlatformSpec, Strategy, WrapperMode};
 pub use invariant::{classify, InvariantKind, InvariantObserver, InvariantViolation};
 pub use report::{CpuReport, Report};
-pub use result::{HangReport, RunOutcome, RunResult};
+pub use result::{metrics_json, HangReport, RunOutcome, RunResult};
 pub use system::System;
 pub use topology::{Topology, TopologyMaster};
 

@@ -4,7 +4,11 @@ use crate::{InvariantViolation, Violation};
 use core::fmt;
 use hmp_bus::BusStats;
 use hmp_cpu::CpuCounters;
-use hmp_sim::{CounterBank, Cycle, KernelProfile, MetricsSnapshot, Span, TimeSeriesSnapshot};
+use hmp_sim::{
+    CounterBank, CpuCounter, Cycle, Hist, KernelProfile, MetricsSnapshot, RetryCause, Span,
+    TimeSeriesSnapshot,
+};
+use std::fmt::Write as _;
 
 /// Why the run loop stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,6 +32,19 @@ pub enum RunOutcome {
         /// Faults injected up to the point the run wound down.
         faults_absorbed: u64,
     },
+}
+
+impl RunOutcome {
+    /// Stable snake_case key (JSON field value).
+    pub fn key(self) -> &'static str {
+        match self {
+            RunOutcome::Completed => "completed",
+            RunOutcome::Stalled => "stalled",
+            RunOutcome::CycleLimit => "cycle_limit",
+            RunOutcome::InvariantViolation => "invariant_violation",
+            RunOutcome::Degraded { .. } => "degraded",
+        }
+    }
 }
 
 impl fmt::Display for RunOutcome {
@@ -116,8 +133,9 @@ pub struct RunResult {
     /// Stale reads the checker recorded (empty when coherent or the
     /// checker was off).
     pub violations: Vec<Violation>,
-    /// Spans, histograms and derived counters (when the platform ran with
-    /// `span_capacity > 0`).
+    /// Spans, histograms, fills and hot retry addresses (when the
+    /// platform ran with `span_capacity > 0`). Totals live in the typed
+    /// counters above.
     pub metrics: Option<MetricsSnapshot>,
     /// Span-level context for a [`RunOutcome::Stalled`] run.
     pub hang: Option<HangReport>,
@@ -172,16 +190,30 @@ impl fmt::Display for RunResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "outcome:    {}", self.outcome)?;
         writeln!(f, "cycles:     {}", self.cycles.as_u64())?;
+        let b = &self.bus;
         writeln!(
             f,
-            "bus:        {} grants, {} retries, {} drains, {} data cycles",
-            self.bus.grants, self.bus.retries, self.bus.drains, self.bus.data_cycles
+            "bus:        {} grants, {} completions ({} drains), {} retries, {} data cycles",
+            b.grants, b.completions, b.drains, b.retries, b.data_cycles
         )?;
+        for cause in RetryCause::ALL {
+            let n = self.stats.retry(cause);
+            if n > 0 {
+                writeln!(f, "  retry.{}: {n}", cause.key())?;
+            }
+        }
         for (i, c) in self.cpus.iter().enumerate() {
             writeln!(
                 f,
-                "cpu{i}:       {} reads, {} writes, {} maint, {} lock-ops, {} ISRs",
-                c.reads, c.writes, c.maintenance, c.lock_mem_ops, c.isr_entries
+                "cpu{i}:       {} reads, {} writes, {} maint, {} lock-ops, {} ISRs, \
+                 {} snoop hits, {} CAM hits",
+                c.reads,
+                c.writes,
+                c.maintenance,
+                c.lock_mem_ops,
+                c.isr_entries,
+                self.stats.get(i, CpuCounter::SnoopHit),
+                self.stats.get(i, CpuCounter::CamHit),
             )?;
         }
         if !self.violations.is_empty() {
@@ -193,8 +225,12 @@ impl fmt::Display for RunResult {
         if let Some(v) = &self.invariant {
             writeln!(f, "INVARIANT:  {v}")?;
         }
-        if self.faults_injected > 0 {
-            writeln!(f, "faults:     {} injected", self.faults_injected)?;
+        if self.faults_injected > 0 || b.quarantined > 0 {
+            writeln!(
+                f,
+                "faults:     {} injected, {} master(s) quarantined",
+                self.faults_injected, b.quarantined
+            )?;
         }
         if let Some(h) = &self.hang {
             write!(f, "{h}")?;
@@ -222,6 +258,89 @@ impl fmt::Display for RunResult {
         }
         Ok(())
     }
+}
+
+/// Renders a run's metrics as one JSON object, or `None` when the run
+/// had metrics off. The bus, fault, retry-cause and per-CPU snoop, CAM and
+/// ISR totals come from the run's typed counters; the histograms, fills,
+/// hot addresses and span accounting from its [`MetricsSnapshot`].
+pub fn metrics_json(r: &RunResult) -> Option<String> {
+    fn hist(out: &mut String, name: &str, h: &Hist) {
+        let _ = write!(
+            out,
+            r#""{name}":{{"count":{},"sum":{},"max":{},"buckets":["#,
+            h.count(),
+            h.sum(),
+            h.max()
+        );
+        for (i, b) in h.buckets().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{b}");
+        }
+        out.push_str("]},");
+    }
+    fn list(out: &mut String, name: &str, xs: impl Iterator<Item = u64>) {
+        let _ = write!(out, r#""{name}":["#);
+        for (i, x) in xs.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{x}");
+        }
+        out.push_str("],");
+    }
+
+    let snap = r.metrics.as_ref()?;
+    let b = &r.bus;
+    let cpus = 0..snap.masters;
+    let mut out = String::from("{");
+    let _ = write!(
+        out,
+        r#""masters":{},"grants":{},"completions":{},"drains_completed":{},"retries":{},"#,
+        snap.masters, b.grants, b.completions, b.drains, b.retries
+    );
+    let _ = write!(
+        out,
+        r#""faults_injected":{},"masters_quarantined":{},"#,
+        r.faults_injected, b.quarantined
+    );
+    out.push_str("\"retry_by_cause\":{");
+    for (i, cause) in RetryCause::ALL.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, r#""{}":{}"#, cause.key(), r.stats.retry(cause));
+    }
+    out.push_str("},");
+    hist(&mut out, "acquire_wait", &snap.acquire_wait);
+    hist(&mut out, "service_time", &snap.service_time);
+    hist(&mut out, "isr_latency", &snap.isr_latency);
+    hist(&mut out, "retries_per_txn", &snap.retries_per_txn);
+    let counter = |c| cpus.clone().map(move |i| r.stats.get(i, c));
+    list(&mut out, "snoop_hits", counter(CpuCounter::SnoopHit));
+    list(&mut out, "cam_hits", counter(CpuCounter::CamHit));
+    list(
+        &mut out,
+        "isr_entries",
+        r.cpus.iter().map(|c| c.isr_entries),
+    );
+    list(&mut out, "fills", snap.fills.iter().copied());
+    out.push_str("\"top_retry_addrs\":[");
+    for (i, &(addr, n)) in snap.top_retry_addrs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, r#"{{"addr":"{addr:#x}","retries":{n}}}"#);
+    }
+    out.push_str("],");
+    let _ = write!(
+        out,
+        r#""retry_addr_overflow":{},"spans_recorded":{},"spans_dropped":{},"span_orphans":{}}}"#,
+        snap.retry_addr_overflow, snap.spans_recorded, snap.spans_dropped, snap.span_orphans
+    );
+    Some(out)
 }
 
 #[cfg(test)]
@@ -342,6 +461,33 @@ mod tests {
         assert!(s.contains("cpu1"));
         assert!(s.contains("cycles:     100"));
         assert_eq!(r.cycles_u64(), 100);
+    }
+
+    #[test]
+    fn metrics_json_is_valid() {
+        let mut r = result(RunOutcome::Completed);
+        assert_eq!(metrics_json(&r), None, "metrics off: no document");
+        r.bus.grants = 3;
+        r.bus.completions = 2;
+        r.bus.drains = 1;
+        r.bus.retries = 1;
+        r.bus.quarantined = 1;
+        r.faults_injected = 4;
+        r.stats.bump_retry(RetryCause::SnoopDrain);
+        r.stats.bump(1, CpuCounter::SnoopHit);
+        r.cpus[1].isr_entries = 2;
+        r.metrics = Some(hmp_sim::MetricsObserver::new(2, 8, 8).snapshot());
+        let json = metrics_json(&r).expect("metrics on");
+        hmp_sim::export::validate_json(&json).expect("metrics JSON must parse");
+        for needle in [
+            r#""grants":3,"completions":2,"drains_completed":1,"retries":1,"#,
+            r#""faults_injected":4,"masters_quarantined":1,"#,
+            r#""snoop_drain":1"#,
+            r#""snoop_hits":[0,1],"cam_hits":[0,0],"isr_entries":[0,2],"fills":[0,0]"#,
+            r#""isr_latency""#,
+        ] {
+            assert!(json.contains(needle), "{needle}: {json}");
+        }
     }
 
     #[test]

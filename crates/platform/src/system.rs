@@ -491,6 +491,12 @@ impl System {
         self.bus.master_grants()
     }
 
+    /// Faults the fault engine has injected so far (0 for a fault-free
+    /// run, which carries no engine).
+    pub fn faults_injected(&self) -> u64 {
+        self.run.faults.as_ref().map_or(0, |e| e.fired)
+    }
+
     /// A CPU, by master index.
     pub fn cpu(&self, i: usize) -> &Cpu {
         &self.nodes[i].cpu
@@ -536,8 +542,8 @@ impl System {
         &self.cpu_names
     }
 
-    /// The metrics layer (spans, histograms, derived counters), when the
-    /// spec enabled it with `span_capacity > 0`.
+    /// The metrics layer (spans, histograms, fills, the event ring), when
+    /// the spec enabled it with `span_capacity > 0`.
     pub fn metrics(&self) -> Option<&MetricsObserver> {
         self.obs.metrics.as_deref()
     }
@@ -909,7 +915,7 @@ impl System {
                 .as_ref()
                 .and_then(|i| i.violation())
                 .cloned(),
-            faults_injected: self.run.faults.as_ref().map_or(0, |e| e.fired),
+            faults_injected: self.faults_injected(),
             timeseries,
             profile,
         }

@@ -54,6 +54,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Bus grants so far, from the bus's per-master counts (summing a slice
+/// allocates nothing).
+fn grants(sys: &System) -> u64 {
+    sys.master_grants().iter().sum()
+}
+
 #[test]
 fn steady_state_stepping_with_null_observer_does_not_allocate() {
     let (lay, map) = layout(2, Strategy::Proposed, LockKind::Turn, false);
@@ -137,7 +143,7 @@ fn steady_state_stepping_with_null_observer_does_not_allocate() {
     for _ in 0..500 {
         sys.step();
     }
-    let warm_grants = sys.metrics().expect("metrics enabled").grants();
+    let warm_grants = grants(&sys);
     assert!(
         warm_grants > 0,
         "warm-up must reach bus-traffic steady state"
@@ -156,8 +162,8 @@ fn steady_state_stepping_with_null_observer_does_not_allocate() {
 
     // The window saw real coherence traffic, spans included.
     let m = sys.metrics().unwrap();
-    assert!(m.grants() > warm_grants, "grants during the window");
-    assert!(m.completions() > 0, "spans completed during the run");
+    assert!(grants(&sys) > warm_grants, "grants during the window");
+    assert!(!m.spans().is_empty(), "spans completed during the run");
     assert!(m.service_time().count() > 0, "histograms recorded");
 
     // Phase 3: the fast-forward kernel with metrics enabled. Warping a
@@ -188,7 +194,7 @@ fn steady_state_stepping_with_null_observer_does_not_allocate() {
     sys.set_kernel(hmp_sim::Kernel::FastForward);
 
     sys.advance(2_000);
-    let warm_grants = sys.metrics().expect("metrics enabled").grants();
+    let warm_grants = grants(&sys);
     assert!(
         warm_grants > 0,
         "warm-up must reach bus-traffic steady state"
@@ -206,8 +212,8 @@ fn steady_state_stepping_with_null_observer_does_not_allocate() {
     // The compute gaps make the window warp-heavy, and the bus still saw
     // real traffic: the fast path exercised both warps and event cycles.
     let m = sys.metrics().unwrap();
-    assert!(m.grants() > warm_grants, "grants during the window");
-    assert!(m.completions() > 0, "spans completed during the run");
+    assert!(grants(&sys) > warm_grants, "grants during the window");
+    assert!(!m.spans().is_empty(), "spans completed during the run");
 
     // Phase 4: fault injection armed. The FaultPlan and every engine
     // buffer (masks, armed retries, wedge flags) are preallocated at
@@ -261,7 +267,7 @@ fn steady_state_stepping_with_null_observer_does_not_allocate() {
     for _ in 0..300 {
         sys.step();
     }
-    let warm_grants = sys.metrics().expect("metrics enabled").grants();
+    let warm_grants = grants(&sys);
     assert!(
         warm_grants > 0,
         "warm-up must reach bus-traffic steady state"
@@ -279,10 +285,10 @@ fn steady_state_stepping_with_null_observer_does_not_allocate() {
     );
 
     // The window actually injected faults and kept the bus busy.
-    let m = sys.metrics().unwrap();
-    assert!(m.grants() > warm_grants, "grants during the window");
+    assert!(sys.metrics().is_some(), "metrics enabled");
+    assert!(grants(&sys) > warm_grants, "grants during the window");
     assert!(
-        m.faults_injected() > 0,
+        sys.faults_injected() > 0,
         "faults fired inside the measured window"
     );
 
@@ -312,7 +318,7 @@ fn steady_state_stepping_with_null_observer_does_not_allocate() {
     for _ in 0..500 {
         sys.step();
     }
-    let warm_grants = sys.metrics().expect("metrics enabled").grants();
+    let warm_grants = grants(&sys);
     assert!(
         warm_grants > 0,
         "warm-up must reach bus-traffic steady state"
@@ -330,8 +336,8 @@ fn steady_state_stepping_with_null_observer_does_not_allocate() {
     );
 
     // Real fabric traffic, spread across all four masters.
-    let m = sys.metrics().unwrap();
-    assert!(m.grants() > warm_grants, "grants during the window");
+    assert!(sys.metrics().is_some(), "metrics enabled");
+    assert!(grants(&sys) > warm_grants, "grants during the window");
     assert!(
         sys.master_grants().iter().all(|&g| g > 0),
         "every master won grants: {:?}",
@@ -466,8 +472,8 @@ fn steady_state_stepping_with_null_observer_does_not_allocate() {
 
     // The reset rewound telemetry to zero and the re-run produced real
     // traffic of its own, checked by a live invariant checker.
-    let m = sys.metrics().unwrap();
-    assert!(m.grants() > 0, "grants after the reset");
+    assert!(sys.metrics().is_some(), "metrics enabled");
+    assert!(grants(&sys) > 0, "grants after the reset");
     let reg = sys.timeseries().unwrap();
     assert!(reg.recorded_busy() > 0, "busy cycles after the reset");
     assert!(

@@ -16,7 +16,7 @@
 
 use hmp_platform::Strategy;
 use hmp_sim::export::{parse_json, validate_json, JsonValue, SCHEMA_VERSION};
-use hmp_workloads::{codec, MicrobenchParams, RunSpec, Scenario};
+use hmp_workloads::{codec, parse_key, MicrobenchParams, RunSpec, Scenario};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -75,12 +75,12 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "--scenario" => {
-                parsed.scenario = match value("--scenario")?.as_str() {
-                    "worst" => Scenario::Worst,
-                    "typical" => Scenario::Typical,
-                    "best" => Scenario::Best,
-                    other => return Err(format!("unknown scenario {other:?}")),
-                };
+                parsed.scenario = parse_key(
+                    "scenario",
+                    &Scenario::ALL,
+                    Scenario::key,
+                    &value("--scenario")?,
+                )?;
             }
             "--out" => parsed.out = Some(value("--out")?),
             "-h" | "--help" => {

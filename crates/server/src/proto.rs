@@ -75,16 +75,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-fn outcome_key(outcome: RunOutcome) -> &'static str {
-    match outcome {
-        RunOutcome::Completed => "completed",
-        RunOutcome::Stalled => "stalled",
-        RunOutcome::CycleLimit => "cycle_limit",
-        RunOutcome::InvariantViolation => "invariant_violation",
-        RunOutcome::Degraded { .. } => "degraded",
-    }
-}
-
 /// Renders the **deterministic** portion of a [`RunResult`] as canonical
 /// JSON — the bytes the content-addressed cache stores and every client
 /// receives.
@@ -111,7 +101,7 @@ pub fn result_json(r: &RunResult) -> String {
             r#""bus":{{"grants":{},"retries":{},"completions":{},"drains":{},"data_cycles":{}}},"#,
             r#""cpus":["#
         ),
-        outcome_key(r.outcome),
+        r.outcome.key(),
         r.cycles_u64(),
         quarantined,
         absorbed,

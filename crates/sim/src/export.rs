@@ -15,9 +15,7 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::event::RetryCause;
 use crate::event::{SimEvent, TracedEvent};
-use crate::metrics::MetricsSnapshot;
 use crate::span::Span;
 use crate::timeseries::{KernelProfile, TimeSeriesSnapshot};
 use std::fmt::Write as _;
@@ -288,83 +286,6 @@ fn counter_tracks(out: &mut String, snap: &TimeSeriesSnapshot) {
     }
 }
 
-/// Renders a [`MetricsSnapshot`] as a JSON object.
-pub fn metrics_json(snap: &MetricsSnapshot) -> String {
-    fn hist(out: &mut String, name: &str, h: &crate::hist::Hist) {
-        let _ = write!(
-            out,
-            r#""{name}":{{"count":{},"sum":{},"max":{},"buckets":["#,
-            h.count(),
-            h.sum(),
-            h.max()
-        );
-        for (i, b) in h.buckets().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push_str("]},");
-    }
-    fn list(out: &mut String, name: &str, xs: &[u64]) {
-        let _ = write!(out, r#""{name}":["#);
-        for (i, x) in xs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{x}");
-        }
-        out.push_str("],");
-    }
-
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        r#""masters":{},"grants":{},"completions":{},"drains_completed":{},"retries":{},"#,
-        snap.masters, snap.grants, snap.completions, snap.drains_completed, snap.retries
-    );
-    let _ = write!(
-        out,
-        r#""faults_injected":{},"masters_quarantined":{},"#,
-        snap.faults_injected, snap.masters_quarantined
-    );
-    out.push_str("\"retry_by_cause\":{");
-    for (i, cause) in RetryCause::ALL.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            r#""{}":{}"#,
-            cause.key(),
-            snap.retry_by_cause[cause as usize]
-        );
-    }
-    out.push_str("},");
-    hist(&mut out, "acquire_wait", &snap.acquire_wait);
-    hist(&mut out, "service_time", &snap.service_time);
-    hist(&mut out, "isr_latency", &snap.isr_latency);
-    hist(&mut out, "retries_per_txn", &snap.retries_per_txn);
-    list(&mut out, "snoop_hits", &snap.snoop_hits);
-    list(&mut out, "cam_hits", &snap.cam_hits);
-    list(&mut out, "isr_entries", &snap.isr_entries);
-    list(&mut out, "fills", &snap.fills);
-    out.push_str("\"top_retry_addrs\":[");
-    for (i, &(addr, n)) in snap.top_retry_addrs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, r#"{{"addr":"{addr:#x}","retries":{n}}}"#);
-    }
-    out.push_str("],");
-    let _ = write!(
-        out,
-        r#""retry_addr_overflow":{},"spans_recorded":{},"spans_dropped":{},"span_orphans":{}}}"#,
-        snap.retry_addr_overflow, snap.spans_recorded, snap.spans_dropped, snap.span_orphans
-    );
-    out
-}
-
 /// Renders a [`TimeSeriesSnapshot`] (and optional [`KernelProfile`]) as
 /// one JSON document: run-level metadata, one object per window with
 /// every deterministic series, and — when present — the kernel
@@ -425,10 +346,6 @@ pub fn timeseries_json(snap: &TimeSeriesSnapshot, profile: Option<&KernelProfile
     out.push_str("],");
     match profile {
         Some(p) => {
-            let kernel = match p.kernel {
-                crate::Kernel::Step => "step",
-                crate::Kernel::FastForward => "fast_forward",
-            };
             let _ = write!(
                 out,
                 concat!(
@@ -436,7 +353,7 @@ pub fn timeseries_json(snap: &TimeSeriesSnapshot, profile: Option<&KernelProfile
                     r#""step_ns":{},"cpu_only_ns":{},"iterations":{},"full_steps":{},"#,
                     r#""cpu_only_steps":{},"warped_cycles":{},"cycles_per_sec":{:.3},"#
                 ),
-                kernel,
+                p.kernel.key(),
                 p.wall_ns,
                 p.plan_ns,
                 p.warp_ns,
@@ -753,7 +670,6 @@ pub fn parse_json(s: &str) -> Result<JsonValue, String> {
 mod tests {
     use super::*;
     use crate::event::{BusOpKind, Observer, TraceObserver};
-    use crate::metrics::MetricsObserver;
     use crate::Cycle;
 
     fn names() -> Vec<String> {
@@ -846,18 +762,6 @@ mod tests {
         let json = chrome_trace(open.iter(), std::iter::empty(), &names());
         validate_json(&json).unwrap();
         assert!(!json.contains(r#""ph":"X""#), "{json}");
-    }
-
-    #[test]
-    fn metrics_json_is_valid() {
-        let mut m = MetricsObserver::new(2, 8, 8);
-        for te in sample_ring().iter() {
-            m.on_event(te.at, te.event);
-        }
-        let json = metrics_json(&m.snapshot());
-        validate_json(&json).expect("metrics JSON must parse");
-        assert!(json.contains(r#""grants":1"#), "{json}");
-        assert!(json.contains(r#""isr_latency""#), "{json}");
     }
 
     #[test]

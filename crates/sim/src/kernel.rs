@@ -23,6 +23,19 @@ pub enum Kernel {
     FastForward,
 }
 
+impl Kernel {
+    /// Both kernels, reference first.
+    pub const ALL: [Kernel; 2] = [Kernel::Step, Kernel::FastForward];
+
+    /// Stable snake_case key (the job wire format and JSON field value).
+    pub fn key(self) -> &'static str {
+        match self {
+            Kernel::Step => "step",
+            Kernel::FastForward => "fast_forward",
+        }
+    }
+}
+
 impl core::fmt::Display for Kernel {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {

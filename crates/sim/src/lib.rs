@@ -19,15 +19,16 @@
 //!   from the event stream (request → grant → retries → completion).
 //! * [`Hist`] — allocation-free log2-bucketed latency histograms.
 //! * [`MetricsObserver`] / [`MetricsSnapshot`] — the all-in-one metrics
-//!   sink: spans, histograms, per-CPU counters, hot retry addresses.
+//!   sink: spans, histograms, per-CPU fills, hot retry addresses. Bus,
+//!   retry, snoop, ISR and fault totals live in the typed counters.
 //! * [`MetricsRegistry`] / [`TimeSeriesSnapshot`] — streaming windowed
 //!   time series (utilization, grant share, occupancy, retries) with
 //!   decimation-by-merging so memory stays O(capacity) over arbitrarily
 //!   long runs, plus [`KernelProfile`] wall-time self-profiling and a
 //!   Prometheus-style text [`exposition`].
 //! * [`EventSchedule`] — per-node absolute next-event times with dirty
-//!   tracking and a lazy min-heap: the O(log N) incremental planner core
-//!   of the fast-forward kernel.
+//!   tracking and a linear earliest-event scan: the incremental planner
+//!   core of the fast-forward kernel.
 //! * [`export`] — Chrome/Perfetto trace-event JSON rendering of a run.
 //! * [`Watchdog`] — forward-progress detection, used to turn the paper's
 //!   *hardware deadlock* (Figure 4) into a reportable simulation outcome

@@ -2,14 +2,19 @@
 //!
 //! [`MetricsObserver`] composes a [`SpanTracker`], the log2 [`Hist`]ograms
 //! the paper's evaluation needs (bus-acquire wait, transaction service
-//! time, ISR drain latency, retries per transaction), per-CPU event
-//! counters, a fixed-capacity retry-hot-address table and an optional
+//! time, ISR drain latency, retries per transaction), per-CPU line
+//! fills, a fixed-capacity retry-hot-address table and an optional
 //! [`TraceObserver`] event ring for timeline export. Everything is
 //! preallocated at construction; the steady state allocates nothing.
 //! [`MetricsObserver::snapshot`] renders it all into an owned
 //! [`MetricsSnapshot`] at end of run.
+//!
+//! The observer counts nothing the platform already counts: bus grants,
+//! retries, completions and drains, retry causes, snoop and TAG-CAM hits,
+//! ISR entries, faults and quarantines live in the run's typed counters
+//! (`BusStats`, [`crate::CounterBank`], the CPU counters).
 
-use crate::event::{Observer, RetryCause, SimEvent, TraceObserver};
+use crate::event::{Observer, SimEvent, TraceObserver};
 use crate::hist::Hist;
 use crate::span::SpanTracker;
 use crate::Cycle;
@@ -76,19 +81,9 @@ pub struct MetricsObserver {
     service_time: Hist,
     isr_latency: Hist,
     retries_per_txn: Hist,
-    retry_by_cause: [u64; RetryCause::COUNT],
-    snoop_hits: Vec<u64>,
-    cam_hits: Vec<u64>,
-    isr_entries: Vec<u64>,
     fills: Vec<u64>,
     open_isr: Vec<Option<Cycle>>,
     retry_addrs: RetryTable,
-    grants: u64,
-    completions: u64,
-    drains_completed: u64,
-    retries: u64,
-    faults_injected: u64,
-    masters_quarantined: u64,
 }
 
 impl MetricsObserver {
@@ -102,24 +97,14 @@ impl MetricsObserver {
             service_time: Hist::new(),
             isr_latency: Hist::new(),
             retries_per_txn: Hist::new(),
-            retry_by_cause: [0; RetryCause::COUNT],
-            snoop_hits: vec![0; masters],
-            cam_hits: vec![0; masters],
-            isr_entries: vec![0; masters],
             fills: vec![0; masters],
             open_isr: vec![None; masters],
             retry_addrs: RetryTable::new(),
-            grants: 0,
-            completions: 0,
-            drains_completed: 0,
-            retries: 0,
-            faults_injected: 0,
-            masters_quarantined: 0,
         }
     }
 
     /// Zeroes every accumulator in place — spans, event ring, histograms,
-    /// per-master counts and the retry-address table — keeping all their
+    /// per-master fills and the retry-address table — keeping all their
     /// storage for allocation-free reuse across runs.
     pub fn reset(&mut self) {
         self.spans.reset();
@@ -128,20 +113,10 @@ impl MetricsObserver {
         self.service_time.reset();
         self.isr_latency.reset();
         self.retries_per_txn.reset();
-        self.retry_by_cause = [0; RetryCause::COUNT];
-        self.snoop_hits.fill(0);
-        self.cam_hits.fill(0);
-        self.isr_entries.fill(0);
         self.fills.fill(0);
         self.open_isr.fill(None);
         self.retry_addrs.slots.fill((0, 0));
         self.retry_addrs.overflow = 0;
-        self.grants = 0;
-        self.completions = 0;
-        self.drains_completed = 0;
-        self.retries = 0;
-        self.faults_injected = 0;
-        self.masters_quarantined = 0;
     }
 
     /// The underlying span tracker.
@@ -152,36 +127,6 @@ impl MetricsObserver {
     /// The raw event ring (for timeline export).
     pub fn events(&self) -> &TraceObserver {
         &self.events
-    }
-
-    /// Bus grants observed (including re-grants after ARTRY).
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Completed data phases observed.
-    pub fn completions(&self) -> u64 {
-        self.completions
-    }
-
-    /// ARTRY kills observed.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Injected faults observed.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected
-    }
-
-    /// Master quarantines observed.
-    pub fn masters_quarantined(&self) -> u64 {
-        self.masters_quarantined
-    }
-
-    /// Retry count for one cause.
-    pub fn retry_by_cause(&self, cause: RetryCause) -> u64 {
-        self.retry_by_cause[cause as usize]
     }
 
     /// The transaction service-time histogram.
@@ -202,24 +147,14 @@ impl MetricsObserver {
     /// Renders everything into an owned snapshot (allocates; end-of-run).
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            masters: self.snoop_hits.len(),
+            masters: self.fills.len(),
             acquire_wait: self.acquire_wait.clone(),
             service_time: self.service_time.clone(),
             isr_latency: self.isr_latency.clone(),
             retries_per_txn: self.retries_per_txn.clone(),
-            retry_by_cause: self.retry_by_cause,
-            snoop_hits: self.snoop_hits.clone(),
-            cam_hits: self.cam_hits.clone(),
-            isr_entries: self.isr_entries.clone(),
             fills: self.fills.clone(),
             top_retry_addrs: self.retry_addrs.top(8),
             retry_addr_overflow: self.retry_addrs.overflow,
-            grants: self.grants,
-            completions: self.completions,
-            drains_completed: self.drains_completed,
-            retries: self.retries,
-            faults_injected: self.faults_injected,
-            masters_quarantined: self.masters_quarantined,
             spans_recorded: self.spans.len() as u64 + self.spans.dropped(),
             spans_dropped: self.spans.dropped(),
             span_orphans: self.spans.orphans(),
@@ -231,22 +166,7 @@ impl Observer for MetricsObserver {
     fn on_event(&mut self, at: Cycle, event: SimEvent) {
         self.events.on_event(at, event);
         match event {
-            SimEvent::BusGrant { .. } => self.grants += 1,
-            SimEvent::BusRetry { addr, cause, .. } => {
-                self.retries += 1;
-                self.retry_by_cause[cause as usize] += 1;
-                self.retry_addrs.bump(addr);
-            }
-            SimEvent::SnoopHit { owner, .. } => {
-                if let Some(c) = self.snoop_hits.get_mut(owner) {
-                    *c += 1;
-                }
-            }
-            SimEvent::CamHit { owner, .. } => {
-                if let Some(c) = self.cam_hits.get_mut(owner) {
-                    *c += 1;
-                }
-            }
+            SimEvent::BusRetry { addr, .. } => self.retry_addrs.bump(addr),
             SimEvent::CacheFill { owner, .. } => {
                 if let Some(c) = self.fills.get_mut(owner) {
                     *c += 1;
@@ -255,7 +175,6 @@ impl Observer for MetricsObserver {
             SimEvent::IsrEnter { cpu, .. } => {
                 if let Some(slot) = self.open_isr.get_mut(cpu) {
                     *slot = Some(at);
-                    self.isr_entries[cpu] += 1;
                 }
             }
             SimEvent::IsrExit { cpu, .. } => {
@@ -263,15 +182,13 @@ impl Observer for MetricsObserver {
                     self.isr_latency.record(at.saturating_since(enter).as_u64());
                 }
             }
-            SimEvent::BusComplete { is_drain, .. } => {
-                self.completions += 1;
-                if is_drain {
-                    self.drains_completed += 1;
-                }
-            }
-            SimEvent::FaultInjected { .. } => self.faults_injected += 1,
-            SimEvent::MasterQuarantined { .. } => self.masters_quarantined += 1,
-            SimEvent::BusRequest { .. } => {}
+            SimEvent::BusRequest { .. }
+            | SimEvent::BusGrant { .. }
+            | SimEvent::BusComplete { .. }
+            | SimEvent::SnoopHit { .. }
+            | SimEvent::CamHit { .. }
+            | SimEvent::FaultInjected { .. }
+            | SimEvent::MasterQuarantined { .. } => {}
         }
         if let Some(closed) = self.spans.track(at, event) {
             if let Some(w) = closed.acquire_wait() {
@@ -298,32 +215,12 @@ pub struct MetricsSnapshot {
     pub isr_latency: Hist,
     /// ARTRY kills absorbed per completed transaction.
     pub retries_per_txn: Hist,
-    /// Retries by cause, indexed per [`RetryCause::ALL`].
-    pub retry_by_cause: [u64; RetryCause::COUNT],
-    /// Snoop hits per CPU.
-    pub snoop_hits: Vec<u64>,
-    /// TAG-CAM conflicts per CPU.
-    pub cam_hits: Vec<u64>,
-    /// Snoop-drain ISR entries per CPU.
-    pub isr_entries: Vec<u64>,
     /// Cache-line fills per CPU.
     pub fills: Vec<u64>,
     /// The hottest retried addresses as `(addr, retries)`, hottest first.
     pub top_retry_addrs: Vec<(u64, u64)>,
     /// Retry-address inserts dropped because the table was full.
     pub retry_addr_overflow: u64,
-    /// Bus grants (including re-grants after ARTRY).
-    pub grants: u64,
-    /// Completed data phases.
-    pub completions: u64,
-    /// Completed snoop-push / victim drains.
-    pub drains_completed: u64,
-    /// ARTRY kills.
-    pub retries: u64,
-    /// Faults injected by the chaos harness (0 on fault-free runs).
-    pub faults_injected: u64,
-    /// Masters quarantined by the recovery policy.
-    pub masters_quarantined: u64,
     /// Spans completed over the whole run (stored + evicted).
     pub spans_recorded: u64,
     /// Completed spans evicted from the ring.
@@ -334,41 +231,14 @@ pub struct MetricsSnapshot {
 
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "bus: {} grants, {} completions ({} drains), {} retries",
-            self.grants, self.completions, self.drains_completed, self.retries
-        )?;
-        if self.faults_injected > 0 || self.masters_quarantined > 0 {
-            writeln!(
-                f,
-                "faults: {} injected, {} master(s) quarantined",
-                self.faults_injected, self.masters_quarantined
-            )?;
-        }
-        for cause in RetryCause::ALL {
-            let n = self.retry_by_cause[cause as usize];
-            if n > 0 {
-                writeln!(f, "  retry.{}: {n}", cause.key())?;
-            }
-        }
         writeln!(f, "service time: {}", self.service_time)?;
         writeln!(f, "acquire wait: {}", self.acquire_wait)?;
         if !self.isr_latency.is_empty() {
             writeln!(f, "isr drain latency: {}", self.isr_latency)?;
         }
         writeln!(f, "retries/txn: {}", self.retries_per_txn)?;
-        for (i, ((&s, &c), (&isr, &fl))) in self
-            .snoop_hits
-            .iter()
-            .zip(&self.cam_hits)
-            .zip(self.isr_entries.iter().zip(&self.fills))
-            .enumerate()
-        {
-            writeln!(
-                f,
-                "cpu{i}: snoop_hits={s} cam_hits={c} isr_entries={isr} fills={fl}"
-            )?;
+        for (i, fl) in self.fills.iter().enumerate() {
+            writeln!(f, "cpu{i}: fills={fl}")?;
         }
         if !self.top_retry_addrs.is_empty() {
             writeln!(f, "hot retry addresses:")?;
@@ -387,7 +257,7 @@ impl fmt::Display for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{BusOpKind, SnoopActionKind};
+    use crate::event::{BusOpKind, RetryCause, SnoopActionKind};
 
     fn drive(m: &mut MetricsObserver) {
         // One CPU read with a retry and a snoop hit, then a drain, then an
@@ -510,10 +380,6 @@ mod tests {
     fn derives_counts_and_histograms() {
         let mut m = MetricsObserver::new(2, 16, 32);
         drive(&mut m);
-        assert_eq!(m.grants(), 3);
-        assert_eq!(m.completions(), 2);
-        assert_eq!(m.retries(), 1);
-        assert_eq!(m.retry_by_cause(RetryCause::SnoopDrain), 1);
         assert_eq!(m.service_time().count(), 2);
         assert_eq!(m.acquire_wait().count(), 2);
         assert_eq!(m.isr_latency().count(), 1);
@@ -528,12 +394,6 @@ mod tests {
         drive(&mut m);
         let s = m.snapshot();
         assert_eq!(s.masters, 2);
-        assert_eq!(s.grants, 3);
-        assert_eq!(s.completions, 2);
-        assert_eq!(s.drains_completed, 1);
-        assert_eq!(s.snoop_hits, vec![0, 1]);
-        assert_eq!(s.cam_hits, vec![0, 1]);
-        assert_eq!(s.isr_entries, vec![0, 1]);
         assert_eq!(s.fills, vec![1, 0]);
         assert_eq!(s.top_retry_addrs, vec![(0x40, 1)]);
         assert_eq!(s.spans_recorded, 2);
@@ -541,10 +401,9 @@ mod tests {
         // Service-time sum reconciles with the two spans (11 + 3 cycles).
         assert_eq!(s.service_time.sum(), 14);
         let txt = s.to_string();
-        assert!(txt.contains("3 grants"), "{txt}");
-        assert!(txt.contains("retry.snoop_drain: 1"), "{txt}");
+        assert!(txt.contains("service time"), "{txt}");
         assert!(txt.contains("hot retry addresses"), "{txt}");
-        assert!(txt.contains("cpu1: snoop_hits=1"), "{txt}");
+        assert!(txt.contains("cpu0: fills=1"), "{txt}");
     }
 
     #[test]
@@ -579,16 +438,15 @@ mod tests {
         let mut m = MetricsObserver::new(1, 4, 4);
         m.on_event(
             Cycle::new(1),
-            SimEvent::SnoopHit {
+            SimEvent::CacheFill {
                 owner: 9,
                 addr: 0x40,
-                action: SnoopActionKind::StateOnly,
-                asserts_shared: false,
+                shared: false,
             },
         );
         m.on_event(Cycle::new(2), SimEvent::IsrExit { cpu: 9, line: 0 });
         let s = m.snapshot();
-        assert_eq!(s.snoop_hits, vec![0]);
+        assert_eq!(s.fills, vec![0]);
         assert_eq!(s.isr_latency.count(), 0);
     }
 }

@@ -1,45 +1,29 @@
 //! Incremental next-event scheduling for the fast-forward kernel.
 //!
-//! The original planner rescanned every node each iteration to find the
-//! earliest next event — O(N) per iteration, which becomes the wall on
-//! event-dense workloads and grows with the N-master fabrics. An
+//! The original planner recomputed every node's next event each
+//! iteration, which becomes the wall on event-dense workloads. An
 //! [`EventSchedule`] keeps one *absolute* next-event time per node plus a
 //! dirty set of nodes whose state changed since they were last planned:
-//! a plan iteration recomputes only the dirty nodes and reads the
-//! earliest time in O(1)/O(log N), because absolute event times are
-//! invariant under pure-countdown ticks and warps (they change only at
-//! the state transitions that mark a node dirty).
+//! a plan iteration recomputes only the dirty nodes, because absolute
+//! event times are invariant under pure-countdown ticks and warps (they
+//! change only at the state transitions that mark a node dirty).
 //!
-//! Small systems (≤ [`LINEAR_MAX`] nodes) answer "earliest" with a
-//! branch-free linear scan over the dense `next` array — faster than any
-//! heap at that size. Larger fabrics switch to a lazy binary heap keyed
-//! by `(cycle, node)`: [`EventSchedule::record`] pushes without removing
-//! the node's previous entry, and stale entries are discarded when they
-//! surface at the top (an entry is stale exactly when it disagrees with
-//! the dense array, which is always authoritative).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! "Earliest" is a linear scan over the dense `next` array. Every kernel
+//! iteration already walks all nodes to warp or step them, so a scan of
+//! one `u64` per node costs no more than the iteration it plans.
 
 /// Sentinel absolute time for "this node has no pending event".
 pub const NO_EVENT: u64 = u64::MAX;
 
-/// Largest node count served by the dense linear scan; beyond this the
-/// lazy heap takes over.
-const LINEAR_MAX: usize = 8;
-
-/// Per-node next-event times with dirty tracking and an O(log N)
-/// earliest-event query. See the module docs for the invariants.
+/// Per-node next-event times with dirty tracking and an earliest-event
+/// query. See the module docs for the invariants.
 #[derive(Debug, Clone)]
 pub struct EventSchedule {
-    /// Authoritative absolute next-event bus cycle per node
-    /// ([`NO_EVENT`] = none). Only meaningful while the node's dirty bit
-    /// is clear.
+    /// Absolute next-event bus cycle per node ([`NO_EVENT`] = none).
+    /// Only meaningful while the node's dirty bit is clear.
     next: Vec<u64>,
     /// Dirty bitmask, one bit per node, packed into words.
     dirty: Vec<u64>,
-    /// Lazy min-heap over `(cycle, node)`; empty in linear mode.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
     len: usize,
 }
 
@@ -50,7 +34,6 @@ impl EventSchedule {
         let mut s = EventSchedule {
             next: vec![NO_EVENT; len],
             dirty: vec![0; words],
-            heap: BinaryHeap::new(),
             len,
         };
         s.mark_all_dirty();
@@ -68,10 +51,9 @@ impl EventSchedule {
     }
 
     /// Reinitializes in place for reuse across runs: everything dirty,
-    /// all event times cleared, heap drained. Keeps every allocation.
+    /// all event times cleared. Keeps every allocation.
     pub fn reset(&mut self) {
         self.next.fill(NO_EVENT);
-        self.heap.clear();
         self.mark_all_dirty();
     }
 
@@ -129,39 +111,13 @@ impl EventSchedule {
     #[inline]
     pub fn record(&mut self, i: usize, abs: u64) {
         self.next[i] = abs;
-        if self.len > LINEAR_MAX && abs != NO_EVENT {
-            self.heap.push(Reverse((abs, i as u32)));
-            // Stale entries are normally discarded as they surface, but a
-            // node that repeatedly re-records far-future times could bury
-            // unbounded garbage; rebuild from the dense array if the heap
-            // ever grows far past one live entry per node.
-            if self.heap.len() > 4 * self.len + 64 {
-                self.heap.clear();
-                for (j, &t) in self.next.iter().enumerate() {
-                    if t != NO_EVENT {
-                        self.heap.push(Reverse((t, j as u32)));
-                    }
-                }
-            }
-        }
     }
 
     /// The earliest recorded event time across all nodes ([`NO_EVENT`] if
-    /// none). Requires the dirty set to be drained first; heals stale
-    /// heap entries as a side effect.
+    /// none). Requires the dirty set to be drained first.
     #[inline]
-    pub fn earliest(&mut self) -> u64 {
-        if self.len <= LINEAR_MAX {
-            self.next.iter().copied().min().unwrap_or(NO_EVENT)
-        } else {
-            while let Some(&Reverse((abs, i))) = self.heap.peek() {
-                if self.next[i as usize] == abs {
-                    return abs;
-                }
-                self.heap.pop();
-            }
-            NO_EVENT
-        }
+    pub fn earliest(&self) -> u64 {
+        self.next.iter().copied().min().unwrap_or(NO_EVENT)
     }
 
     /// Collects the bitmask of nodes whose event falls exactly on `abs`,
@@ -171,24 +127,10 @@ impl EventSchedule {
     pub fn take_active(&mut self, abs: u64) -> u64 {
         debug_assert!(self.len <= 64);
         let mut mask = 0u64;
-        if self.len <= LINEAR_MAX {
-            for i in 0..self.len {
-                if self.next[i] == abs {
-                    mask |= 1 << i;
-                    self.mark_dirty(i);
-                }
-            }
-        } else {
-            while let Some(&Reverse((t, i))) = self.heap.peek() {
-                if t > abs {
-                    break;
-                }
-                self.heap.pop();
-                let i = i as usize;
-                if t == abs && self.next[i] == abs {
-                    mask |= 1 << i;
-                    self.mark_dirty(i);
-                }
+        for i in 0..self.len {
+            if self.next[i] == abs {
+                mask |= 1 << i;
+                self.mark_dirty(i);
             }
         }
         mask
@@ -248,15 +190,15 @@ mod tests {
     }
 
     #[test]
-    fn heap_mode_heals_stale_entries() {
-        let n = 12; // > LINEAR_MAX: heap path
+    fn twelve_nodes_rerecord_and_retract() {
+        let n = 12;
         let mut s = EventSchedule::new(n);
         drain(&mut s);
         for i in 0..n {
             s.record(i, 100 + i as u64);
         }
         assert_eq!(s.earliest(), 100);
-        // Re-record node 0 later: its old entry is stale and must heal.
+        // Re-record node 0 later: the earliest moves to the next node.
         s.record(0, 500);
         assert_eq!(s.earliest(), 101);
         // Retract node 1 entirely.
@@ -269,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_mode_take_active_ties() {
+    fn sixteen_nodes_take_active_ties() {
         let mut s = EventSchedule::new(16);
         drain(&mut s);
         for i in 0..16 {
@@ -280,31 +222,11 @@ mod tests {
         for i in 0..16 {
             assert_eq!(s.is_dirty(i), i % 2 == 0, "node {i}");
         }
-        // The consumed entries are gone; the odd nodes remain.
+        // Re-recording the consumed nodes later leaves the odd nodes first.
         for i in (0..16).step_by(2) {
             s.record(i, 200);
         }
         assert_eq!(s.earliest(), 90);
-    }
-
-    #[test]
-    fn heap_rebuild_bounds_garbage() {
-        let mut s = EventSchedule::new(10);
-        drain(&mut s);
-        for i in 0..10 {
-            s.record(i, 1000 + i as u64);
-        }
-        // Hammer one node with far-future re-records; the heap must stay
-        // bounded rather than accumulating one stale entry per record.
-        for k in 0..10_000u64 {
-            s.record(0, 1_000_000 + k);
-        }
-        assert!(
-            s.heap.len() <= 4 * 10 + 64 + 1,
-            "heap {} entries",
-            s.heap.len()
-        );
-        assert_eq!(s.earliest(), 1001);
     }
 
     #[test]

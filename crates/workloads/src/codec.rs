@@ -31,8 +31,8 @@ pub fn spec_to_json(spec: &RunSpec) -> String {
     let _ = write!(
         out,
         r#""scenario":"{}","strategy":"{}","#,
-        scenario_key(spec.scenario),
-        strategy_key(spec.strategy)
+        spec.scenario.key(),
+        spec.strategy.key()
     );
     let p = &spec.params;
     let _ = write!(
@@ -56,7 +56,7 @@ pub fn spec_to_json(spec: &RunSpec) -> String {
         spec.max_cycles,
         spec.span_capacity,
         spec.check_invariants,
-        kernel_key(spec.kernel),
+        spec.kernel.key(),
     );
     out.push_str("\"faults\":");
     match &spec.faults {
@@ -67,7 +67,7 @@ pub fn spec_to_json(spec: &RunSpec) -> String {
                     r#"{{"kind":"{}","seed":{},"count":{},"from":{},"to":{},"#,
                     r#""addr_lines":{},"param":{},"target":"#
                 ),
-                fault_key(f.kind),
+                f.kind.key(),
                 f.seed,
                 f.count,
                 f.from,
@@ -91,7 +91,7 @@ pub fn spec_to_json(spec: &RunSpec) -> String {
             r#","arbitration":"{}","recovery":{{"retry_budget":{},"#,
             r#""escalation_backoff":{},"quarantine_after":{}}},"watchdog_window":{},"#
         ),
-        arbitration_key(spec.arbitration),
+        spec.arbitration.key(),
         spec.recovery.retry_budget,
         spec.recovery.escalation_backoff,
         spec.recovery.quarantine_after,
@@ -121,8 +121,8 @@ fn platform_json(out: &mut String, platform: PlatformPick) {
             let _ = write!(
                 out,
                 r#"{{"kind":"pair","a":"{}","b":"{}"}}"#,
-                protocol_key(a),
-                protocol_key(b)
+                a.key(),
+                b.key()
             );
         }
         PlatformPick::Fabric {
@@ -133,7 +133,7 @@ fn platform_json(out: &mut String, platform: PlatformPick) {
             let _ = write!(
                 out,
                 r#"{{"kind":"fabric","protocol":"{}","masters":{},"segments":{}}}"#,
-                protocol_key(protocol),
+                protocol.key(),
                 masters,
                 segments
             );
@@ -154,11 +154,11 @@ pub fn spec_from_value(doc: &JsonValue) -> Result<RunSpec, String> {
         .ok_or_else(|| format!("spec must be an object, got {}", doc.kind()))?;
     let _ = obj;
     let scenario = match doc.get("scenario") {
-        Some(v) => scenario_from(req_str(v, "scenario")?)?,
+        Some(v) => key_field(v, "scenario", &Scenario::ALL, Scenario::key)?,
         None => return Err("spec is missing \"scenario\"".into()),
     };
     let strategy = match doc.get("strategy") {
-        Some(v) => strategy_from(req_str(v, "strategy")?)?,
+        Some(v) => key_field(v, "strategy", &Strategy::ALL, Strategy::key)?,
         None => return Err("spec is missing \"strategy\"".into()),
     };
     let mut params = MicrobenchParams::default();
@@ -185,13 +185,18 @@ pub fn spec_from_value(doc: &JsonValue) -> Result<RunSpec, String> {
     spec.span_capacity = num_or(doc, "span_capacity", spec.span_capacity as u64)? as usize;
     spec.check_invariants = bool_or(doc, "check_invariants", spec.check_invariants)?;
     if let Some(v) = doc.get("kernel") {
-        spec.kernel = kernel_from(req_str(v, "kernel")?)?;
+        spec.kernel = key_field(v, "kernel", &Kernel::ALL, Kernel::key)?;
     }
     if let Some(v) = doc.get("faults") {
         spec.faults = faults_from(v)?;
     }
     if let Some(v) = doc.get("arbitration") {
-        spec.arbitration = arbitration_from(req_str(v, "arbitration")?)?;
+        spec.arbitration = key_field(
+            v,
+            "arbitration",
+            &ArbitrationPolicy::ALL,
+            ArbitrationPolicy::key,
+        )?;
     }
     if let Some(v) = doc.get("recovery") {
         if v.as_obj().is_none() {
@@ -244,6 +249,7 @@ fn platform_from(v: &JsonValue) -> Result<PlatformPick, String> {
         .get("kind")
         .and_then(JsonValue::as_str)
         .ok_or("platform needs a \"kind\" string")?;
+    let proto = |s| parse_key("protocol", &ProtocolKind::ALL, ProtocolKind::key, s);
     match kind {
         "ppc_arm" => Ok(PlatformPick::PpcArm),
         "i486_ppc" => Ok(PlatformPick::I486Ppc),
@@ -257,7 +263,7 @@ fn platform_from(v: &JsonValue) -> Result<PlatformPick, String> {
                 .get("b")
                 .and_then(JsonValue::as_str)
                 .ok_or("pair platform needs \"b\"")?;
-            Ok(PlatformPick::Pair(protocol_from(a)?, protocol_from(b)?))
+            Ok(PlatformPick::Pair(proto(a)?, proto(b)?))
         }
         "fabric" => {
             let protocol = v
@@ -275,7 +281,7 @@ fn platform_from(v: &JsonValue) -> Result<PlatformPick, String> {
                 ));
             }
             Ok(PlatformPick::Fabric {
-                protocol: protocol_from(protocol)?,
+                protocol: proto(protocol)?,
                 masters: masters as u8,
                 segments: segments as u8,
             })
@@ -292,7 +298,11 @@ fn faults_from(v: &JsonValue) -> Result<Option<FaultDirective>, String> {
         .get("kind")
         .and_then(JsonValue::as_str)
         .ok_or("faults needs a \"kind\" string")?;
-    let mut f = FaultDirective::new(fault_from(kind)?, 0, 1);
+    let mut f = FaultDirective::new(
+        parse_key("fault kind", &FaultKind::ALL, FaultKind::key, kind)?,
+        0,
+        1,
+    );
     f.seed = num_or(v, "seed", f.seed)?;
     f.count = num_or(v, "count", f.count as u64)? as u32;
     f.from = num_or(v, "from", f.from)?;
@@ -313,6 +323,16 @@ fn faults_from(v: &JsonValue) -> Result<Option<FaultDirective>, String> {
 fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
     v.as_str()
         .ok_or_else(|| format!("\"{key}\" must be a string, got {}", v.kind()))
+}
+
+/// Parses string field `key`'s value `v` as one of `all`.
+fn key_field<T: Copy>(
+    v: &JsonValue,
+    key: &str,
+    all: &[T],
+    key_of: fn(T) -> &'static str,
+) -> Result<T, String> {
+    parse_key(key, all, key_of, req_str(v, key)?)
 }
 
 fn num_or(doc: &JsonValue, key: &str, default: u64) -> Result<u64, String> {
@@ -339,120 +359,18 @@ fn bool_or(doc: &JsonValue, key: &str, default: bool) -> Result<bool, String> {
     }
 }
 
-fn scenario_key(s: Scenario) -> &'static str {
-    match s {
-        Scenario::Worst => "worst",
-        Scenario::Typical => "typical",
-        Scenario::Best => "best",
-    }
-}
-
-fn scenario_from(s: &str) -> Result<Scenario, String> {
-    match s {
-        "worst" => Ok(Scenario::Worst),
-        "typical" => Ok(Scenario::Typical),
-        "best" => Ok(Scenario::Best),
-        other => Err(format!("unknown scenario {other:?}")),
-    }
-}
-
-fn strategy_key(s: Strategy) -> &'static str {
-    match s {
-        Strategy::CacheDisabled => "cache_disabled",
-        Strategy::SoftwareDrain => "software_drain",
-        Strategy::Proposed => "proposed",
-    }
-}
-
-fn strategy_from(s: &str) -> Result<Strategy, String> {
-    match s {
-        "cache_disabled" => Ok(Strategy::CacheDisabled),
-        "software_drain" => Ok(Strategy::SoftwareDrain),
-        "proposed" => Ok(Strategy::Proposed),
-        other => Err(format!("unknown strategy {other:?}")),
-    }
-}
-
-fn kernel_key(k: Kernel) -> &'static str {
-    match k {
-        Kernel::Step => "step",
-        Kernel::FastForward => "fast_forward",
-    }
-}
-
-fn kernel_from(s: &str) -> Result<Kernel, String> {
-    match s {
-        "step" => Ok(Kernel::Step),
-        "fast_forward" => Ok(Kernel::FastForward),
-        other => Err(format!("unknown kernel {other:?}")),
-    }
-}
-
-fn arbitration_key(a: ArbitrationPolicy) -> &'static str {
-    match a {
-        ArbitrationPolicy::RoundRobin => "round_robin",
-        ArbitrationPolicy::FixedPriority => "fixed_priority",
-        ArbitrationPolicy::Fcfs => "fcfs",
-    }
-}
-
-fn arbitration_from(s: &str) -> Result<ArbitrationPolicy, String> {
-    match s {
-        "round_robin" => Ok(ArbitrationPolicy::RoundRobin),
-        "fixed_priority" => Ok(ArbitrationPolicy::FixedPriority),
-        "fcfs" => Ok(ArbitrationPolicy::Fcfs),
-        other => Err(format!("unknown arbitration {other:?}")),
-    }
-}
-
-fn protocol_key(p: ProtocolKind) -> &'static str {
-    match p {
-        ProtocolKind::Mei => "mei",
-        ProtocolKind::Msi => "msi",
-        ProtocolKind::Mesi => "mesi",
-        ProtocolKind::Moesi => "moesi",
-        ProtocolKind::Si => "si",
-    }
-}
-
-fn protocol_from(s: &str) -> Result<ProtocolKind, String> {
-    match s {
-        "mei" => Ok(ProtocolKind::Mei),
-        "msi" => Ok(ProtocolKind::Msi),
-        "mesi" => Ok(ProtocolKind::Mesi),
-        "moesi" => Ok(ProtocolKind::Moesi),
-        "si" => Ok(ProtocolKind::Si),
-        other => Err(format!("unknown protocol {other:?}")),
-    }
-}
-
-fn fault_key(f: FaultKind) -> &'static str {
-    match f {
-        FaultKind::GrantDrop => "grant_drop",
-        FaultKind::GrantDelay => "grant_delay",
-        FaultKind::SpuriousRetry => "spurious_retry",
-        FaultKind::NfiqDelay => "nfiq_delay",
-        FaultKind::NfiqLost => "nfiq_lost",
-        FaultKind::CamDesync => "cam_desync",
-        FaultKind::SharedCorrupt => "shared_corrupt",
-        FaultKind::WedgedMaster => "wedged_master",
-        FaultKind::LineStateCorrupt => "line_state_corrupt",
-    }
-}
-
-fn fault_from(s: &str) -> Result<FaultKind, String> {
-    match s {
-        "grant_drop" => Ok(FaultKind::GrantDrop),
-        "grant_delay" => Ok(FaultKind::GrantDelay),
-        "spurious_retry" => Ok(FaultKind::SpuriousRetry),
-        "nfiq_delay" => Ok(FaultKind::NfiqDelay),
-        "nfiq_lost" => Ok(FaultKind::NfiqLost),
-        "cam_desync" => Ok(FaultKind::CamDesync),
-        "shared_corrupt" => Ok(FaultKind::SharedCorrupt),
-        "wedged_master" => Ok(FaultKind::WedgedMaster),
-        "line_state_corrupt" => Ok(FaultKind::LineStateCorrupt),
-        other => Err(format!("unknown fault kind {other:?}")),
-    }
+/// Looks `s` up among `all` by wire key: the one parse path for every
+/// wire enum. The error names the field, e.g. `unknown scenario "worse"`.
+pub fn parse_key<T: Copy>(
+    what: &str,
+    all: &[T],
+    key: fn(T) -> &'static str,
+    s: &str,
+) -> Result<T, String> {
+    all.iter()
+        .copied()
+        .find(|&v| key(v) == s)
+        .ok_or_else(|| format!("unknown {what} {s:?}"))
 }
 
 #[cfg(test)]
@@ -582,38 +500,17 @@ mod tests {
 
     #[test]
     fn every_enum_key_roundtrips() {
-        for s in Scenario::ALL {
-            assert_eq!(scenario_from(scenario_key(s)).unwrap(), s);
+        fn roundtrip<T: Copy + PartialEq + std::fmt::Debug>(all: &[T], key: fn(T) -> &'static str) {
+            for &v in all {
+                assert_eq!(parse_key("value", all, key, key(v)), Ok(v), "{}", key(v));
+            }
         }
-        for s in Strategy::ALL {
-            assert_eq!(strategy_from(strategy_key(s)).unwrap(), s);
-        }
-        for p in ProtocolKind::ALL {
-            assert_eq!(protocol_from(protocol_key(p)).unwrap(), p);
-        }
-        for a in [
-            ArbitrationPolicy::RoundRobin,
-            ArbitrationPolicy::FixedPriority,
-            ArbitrationPolicy::Fcfs,
-        ] {
-            assert_eq!(arbitration_from(arbitration_key(a)).unwrap(), a);
-        }
-        for k in [Kernel::Step, Kernel::FastForward] {
-            assert_eq!(kernel_from(kernel_key(k)).unwrap(), k);
-        }
-        for f in [
-            FaultKind::GrantDrop,
-            FaultKind::GrantDelay,
-            FaultKind::SpuriousRetry,
-            FaultKind::NfiqDelay,
-            FaultKind::NfiqLost,
-            FaultKind::CamDesync,
-            FaultKind::SharedCorrupt,
-            FaultKind::WedgedMaster,
-            FaultKind::LineStateCorrupt,
-        ] {
-            assert_eq!(fault_from(fault_key(f)).unwrap(), f);
-        }
+        roundtrip(&Scenario::ALL, Scenario::key);
+        roundtrip(&Strategy::ALL, Strategy::key);
+        roundtrip(&ProtocolKind::ALL, ProtocolKind::key);
+        roundtrip(&ArbitrationPolicy::ALL, ArbitrationPolicy::key);
+        roundtrip(&Kernel::ALL, Kernel::key);
+        roundtrip(&FaultKind::ALL, FaultKind::key);
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod generate;
 mod params;
 mod runner;
 
-pub use codec::{spec_from_json, spec_from_value, spec_to_json};
+pub use codec::{parse_key, spec_from_json, spec_from_value, spec_to_json};
 pub use generate::{build_programs, build_programs_for, scenario_lock_kind};
 pub use params::{MicrobenchParams, Scenario};
 pub use runner::{prepare, run, FaultDirective, PlatformPick, RunSpec, Runner};

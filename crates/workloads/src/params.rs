@@ -16,6 +16,15 @@ pub enum Scenario {
 impl Scenario {
     /// All scenarios in the paper's figure order (5, 7, 6).
     pub const ALL: [Scenario; 3] = [Scenario::Worst, Scenario::Typical, Scenario::Best];
+
+    /// Stable snake_case key (the job wire format and CLI value).
+    pub fn key(self) -> &'static str {
+        match self {
+            Scenario::Worst => "worst",
+            Scenario::Typical => "typical",
+            Scenario::Best => "best",
+        }
+    }
 }
 
 impl fmt::Display for Scenario {

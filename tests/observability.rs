@@ -118,10 +118,10 @@ fn spans_cover_every_transaction() {
     let r = sys.run(spec.max_cycles);
     assert!(r.is_clean_completion(), "{r}");
     let snap = r.metrics.as_ref().expect("metrics enabled");
-    assert!(snap.completions > 0);
+    assert!(r.bus.completions > 0);
     assert_eq!(snap.span_orphans, 0);
-    assert_eq!(snap.spans_recorded, snap.completions);
-    assert_eq!(snap.service_time.count(), snap.completions);
+    assert_eq!(snap.spans_recorded, r.bus.completions);
+    assert_eq!(snap.service_time.count(), r.bus.completions);
     let m = sys.metrics().unwrap();
     assert!(
         m.spans().open_spans().is_empty(),
