@@ -31,9 +31,11 @@ fn validate_profile(label: &str, profile: Option<&KernelProfile>) {
     let p = profile.unwrap_or_else(|| panic!("{label}: profiled run lost its profile"));
     assert!(p.wall_ns > 0, "{label}: empty profile wall time");
     assert!(p.iterations > 0, "{label}: no loop iterations profiled");
+    // An iteration executes one full step or one CPU-local window of
+    // one or more CPU-only steps.
     assert!(
-        p.full_steps + p.cpu_only_steps <= p.iterations,
-        "{label}: step mix exceeds iterations: {p:?}"
+        p.full_steps <= p.iterations && p.iterations <= p.full_steps + p.cpu_only_steps,
+        "{label}: step mix and iterations disagree: {p:?}"
     );
     let phases = p.plan_ns + p.warp_ns + p.step_ns + p.cpu_only_ns;
     assert!(

@@ -18,6 +18,8 @@ use hmp_platform::{
     layout, presets, CpuSpec, Kernel, PlatformSpec, RunOutcome, RunResult, Strategy, System,
     Topology, TopologyMaster, WrapperMode,
 };
+use hmp_sim::export::timeseries_json;
+use hmp_sim::{FaultKind, TimeSeriesSpec};
 use hmp_workloads::{
     build_programs_for, run, scenario_lock_kind, MicrobenchParams, PlatformPick, RunSpec, Scenario,
 };
@@ -443,4 +445,169 @@ fn cycle_limit_runs_agree() {
     let r = kernels_agree(spec, "cycle-limit truncation");
     assert_eq!(r.outcome, RunOutcome::CycleLimit);
     assert_eq!(r.cycles_u64(), 1_000);
+}
+
+/// Telemetry for the CPU-local window cases: narrow windows, so the
+/// series record the kernel's bulk warps at fine grain.
+const WINDOW_SERIES: TimeSeriesSpec = TimeSeriesSpec {
+    window: 64,
+    capacity: 16,
+};
+
+/// Asserts a step and a fast-forward result of one run agree: the whole
+/// [`RunResult`], and the telemetry snapshot byte for byte. The
+/// fast-forward profile must show at least one CPU-local window that
+/// spanned two or more event cycles, or the case tests nothing.
+fn windows_agree(step: &RunResult, fast: &RunResult, label: &str) {
+    assert_eq!(step, fast, "kernel divergence on {label}");
+    assert_eq!(
+        series_bytes(step),
+        series_bytes(fast),
+        "telemetry bytes diverge on {label}"
+    );
+    let p = fast.profile.as_ref().expect("profile armed");
+    assert!(
+        p.full_steps + p.cpu_only_steps > p.iterations,
+        "{label}: no CPU-local window ran two event cycles: {p:?}"
+    );
+}
+
+/// The run's telemetry snapshot as exported JSON.
+fn series_bytes(r: &RunResult) -> String {
+    timeseries_json(r.timeseries.as_ref().expect("telemetry armed"), None)
+}
+
+/// [`windows_agree`] over a workload spec, with telemetry and the
+/// profile armed.
+fn spec_windows_agree(spec: RunSpec, label: &str) -> RunResult {
+    let spec = spec.with_timeseries(WINDOW_SERIES).with_profile();
+    let step = run(&spec.with_kernel(Kernel::Step));
+    let fast = run(&spec.with_kernel(Kernel::FastForward));
+    windows_agree(&step, &fast, label);
+    step
+}
+
+#[test]
+fn table2_stale_reads_inside_a_window_agree() {
+    // The Table 2 pairing with transparent wrappers, invariants off and
+    // the golden checker on. Once both lines are filled the bus goes
+    // quiet: the MEI core's silent E->M write hit and the MESI core's
+    // stream of read hits on its stale S copy fall into CPU-local
+    // windows. The checker flags exactly the reads that follow the
+    // write, so the violation list pins the per-cycle order of the two
+    // cores inside a window.
+    const REPS: u32 = 24;
+    let build = |kernel: Kernel| {
+        let (lay, map) = layout(2, Strategy::Proposed, LockKind::Turn, false);
+        let lock = LockLayout::new(LockKind::Turn, lay.lock_base, 2);
+        let mut spec = PlatformSpec::new(
+            vec![
+                CpuSpec::generic("mesi", ProtocolKind::Mesi),
+                CpuSpec::generic("mei", ProtocolKind::Mei),
+            ],
+            map,
+            lock,
+        );
+        spec.wrapper_mode = WrapperMode::Transparent;
+        spec.check_invariants = false;
+        spec.timeseries = Some(WINDOW_SERIES);
+        spec.profile = true;
+        let a = lay.shared_base;
+        let p0 = ProgramBuilder::new()
+            .read(a)
+            .delay(50)
+            .repeat(REPS, |b| b.read(a))
+            .build();
+        let p1 = ProgramBuilder::new()
+            .delay(60)
+            .read(a)
+            .delay(8)
+            .write(a, 77)
+            .build();
+        let mut sys = System::new(&spec, vec![p0, p1]);
+        sys.set_kernel(kernel);
+        sys
+    };
+    let step = build(Kernel::Step).run(10_000);
+    let fast = build(Kernel::FastForward).run(10_000);
+    windows_agree(&step, &fast, "Table 2 stale reads");
+    assert_eq!(step.outcome, RunOutcome::Completed, "{step}");
+    assert!(
+        !step.violations.is_empty() && step.violations.len() < REPS as usize,
+        "the read hits must straddle the write: {step}"
+    );
+}
+
+#[test]
+fn mixed_clock_pf2_windows_agree() {
+    // PF2 pairs a PowerPC at twice the bus clock with an ARM at the bus
+    // clock. In the best case both cores hit their own lines, so one
+    // window ticks both of them on many of its cycles.
+    for scenario in [Scenario::Best, Scenario::Typical, Scenario::Worst] {
+        let spec = RunSpec::new(scenario, Strategy::Proposed, params())
+            .on(PlatformPick::PpcArm)
+            .with_spans(256)
+            .with_invariants();
+        let r = spec_windows_agree(spec, &format!("PF2 {scenario:?}"));
+        assert!(r.is_clean_completion(), "{scenario:?}: {r}");
+    }
+}
+
+#[test]
+fn faults_fired_on_a_window_cycle_agree() {
+    // A fault can fire on the first cycle of a CPU-local window. A
+    // delayed and a lost nFIQ mask an interrupt there (the delayed line
+    // unmasks on a later CPU-local event); a dropped or delayed grant
+    // rewrites the arbiter's countdown after the dead cycles before it.
+    let platforms = [
+        PlatformPick::PpcArm,
+        PlatformPick::I486Ppc,
+        PlatformPick::Pair(ProtocolKind::Mesi, ProtocolKind::Moesi),
+    ];
+    for kind in [
+        FaultKind::NfiqDelay,
+        FaultKind::NfiqLost,
+        FaultKind::GrantDrop,
+        FaultKind::GrantDelay,
+    ] {
+        for platform in platforms {
+            let spec = hmp_bench::chaos::chaos_spec(kind, platform, Strategy::Proposed);
+            let label = format!("{} on {platform:?}", kind.key());
+            let r = spec_windows_agree(spec.with_spans(256), &label);
+            assert!(r.faults_injected >= 1, "{label}: no fault fired");
+        }
+    }
+}
+
+#[test]
+fn advance_targets_split_windows_and_agree() {
+    // `System::advance` ends a window at its target. Driving a run in
+    // steps of 1, 7 and 64 cycles must land every kernel on the result
+    // one uninterrupted step-kernel run gives.
+    let spec = RunSpec::new(Scenario::Typical, Strategy::Proposed, params())
+        .on(PlatformPick::PpcArm)
+        .with_spans(256)
+        .with_timeseries(WINDOW_SERIES)
+        .with_profile();
+    let whole = run(&spec.with_kernel(Kernel::Step));
+    assert!(whole.is_clean_completion(), "{whole}");
+    for stride in [1, 7, 64] {
+        for kernel in [Kernel::Step, Kernel::FastForward] {
+            let mut sys = hmp_workloads::prepare(&spec.with_kernel(kernel));
+            while !sys.finished() {
+                assert!(
+                    sys.now().as_u64() < spec.max_cycles,
+                    "stride {stride} never finished"
+                );
+                sys.advance(stride);
+            }
+            let r = sys.run(spec.max_cycles);
+            assert_eq!(whole, r, "{kernel:?} advanced by {stride} diverges");
+            assert_eq!(
+                series_bytes(&whole),
+                series_bytes(&r),
+                "{kernel:?} by {stride}: telemetry bytes"
+            );
+        }
+    }
 }

@@ -51,12 +51,14 @@ pub struct CoherenceChecker {
     golden: Memory,
     violations: Vec<Violation>,
     checked_reads: u64,
+    stale_reads: u64,
     max_recorded: usize,
 }
 
 impl CoherenceChecker {
     /// Creates a checker for a memory of `size_bytes`, keeping at most
-    /// `max_recorded` violation records (counting continues past that).
+    /// `max_recorded` violation records; [`CoherenceChecker::stale_reads`]
+    /// keeps counting past that.
     ///
     /// # Panics
     ///
@@ -66,6 +68,7 @@ impl CoherenceChecker {
             golden: Memory::new(size_bytes),
             violations: Vec::new(),
             checked_reads: 0,
+            stale_reads: 0,
             max_recorded,
         }
     }
@@ -76,6 +79,7 @@ impl CoherenceChecker {
         self.golden.reset();
         self.violations.clear();
         self.checked_reads = 0;
+        self.stale_reads = 0;
     }
 
     /// Records a committed write of `value` to `addr`.
@@ -88,6 +92,7 @@ impl CoherenceChecker {
         self.checked_reads += 1;
         let expected = self.golden.read_word(addr);
         if expected != got {
+            self.stale_reads += 1;
             if self.violations.len() < self.max_recorded {
                 self.violations.push(Violation {
                     at,
@@ -96,9 +101,6 @@ impl CoherenceChecker {
                     expected,
                     got,
                 });
-            } else {
-                // Keep counting without storing.
-                self.checked_reads = self.checked_reads.wrapping_add(0);
             }
         }
     }
@@ -116,6 +118,11 @@ impl CoherenceChecker {
     /// Total reads checked.
     pub fn checked_reads(&self) -> u64 {
         self.checked_reads
+    }
+
+    /// Total stale reads detected, including those past the record cap.
+    pub fn stale_reads(&self) -> u64 {
+        self.stale_reads
     }
 
     /// Returns `true` if no stale read was recorded.
@@ -163,5 +170,8 @@ mod tests {
         }
         assert_eq!(c.violations().len(), 2);
         assert_eq!(c.checked_reads(), 10);
+        assert_eq!(c.stale_reads(), 10);
+        c.reset();
+        assert_eq!(c.stale_reads(), 0);
     }
 }

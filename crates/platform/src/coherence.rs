@@ -562,6 +562,8 @@ impl System {
     fn evict_victim(&mut self, i: usize, victim: Option<hmp_cache::EvictedLine>) {
         if let Some(v) = victim {
             if v.dirty {
+                self.sync_bus();
+                self.run.bus_sched_dirty = true;
                 self.bus
                     .submit_drain(MasterId(i), v.data, v.addr, self.run.now, &mut self.obs);
                 self.counters.bump(i, CpuCounter::VictimWriteback);
@@ -573,18 +575,25 @@ impl System {
         }
     }
 
+    /// Submits node `i`'s transaction. A submission is the one change to
+    /// the bus's event horizon a CPU tick can make, so it marks that
+    /// horizon for a rescan; hits and clean maintenance leave it alone.
+    /// The bus first catches up on its deferred warp: those cycles
+    /// passed before the request, when no grant was possible. The victim
+    /// write-back in [`System::evict_victim`] does the same.
+    fn submit(&mut self, i: usize, op: BusOp, addr: Addr) {
+        self.sync_bus();
+        self.run.bus_sched_dirty = true;
+        self.bus
+            .submit(MasterId(i), op, addr, self.run.now, &mut self.obs);
+    }
+
     fn dispatch_write_miss(&mut self, i: usize, req: MemRequest, value: u32, wt: bool) {
         let probe = self.nodes[i].cache.probe_write(req.addr, value, wt);
         match probe {
             WriteProbe::Miss { victim } => {
                 self.evict_victim(i, victim);
-                self.bus.submit(
-                    MasterId(i),
-                    BusOp::ReadLineExcl,
-                    req.addr,
-                    self.run.now,
-                    &mut self.obs,
-                );
+                self.submit(i, BusOp::ReadLineExcl, req.addr);
                 self.nodes[i].pending = Some(Pending {
                     req,
                     kind: PendingKind::Fill {
@@ -602,10 +611,6 @@ impl System {
     /// immediately; anything needing the bus submits a transaction and
     /// parks a [`Pending`] record.
     pub(crate) fn handle_request(&mut self, i: usize, req: MemRequest) {
-        // Every bus submission flows through here (directly or via the
-        // victim path), and a request can arrive from a CPU-only tick —
-        // the one mutation of the bus's event horizon outside a full step.
-        self.run.bus_sched_dirty = true;
         let attr = self.map.classify(req.addr);
         match req.kind {
             ReqKind::Read => match attr {
@@ -622,13 +627,7 @@ impl System {
                         ReadProbe::Miss { victim } => {
                             self.counters.bump(i, CpuCounter::ReadMiss);
                             self.evict_victim(i, victim);
-                            self.bus.submit(
-                                MasterId(i),
-                                BusOp::ReadLine,
-                                req.addr,
-                                self.run.now,
-                                &mut self.obs,
-                            );
+                            self.submit(i, BusOp::ReadLine, req.addr);
                             self.nodes[i].pending = Some(Pending {
                                 req,
                                 kind: PendingKind::Fill {
@@ -641,13 +640,7 @@ impl System {
                     }
                 }
                 MemAttr::Uncached | MemAttr::Device(_) => {
-                    self.bus.submit(
-                        MasterId(i),
-                        BusOp::ReadWord,
-                        req.addr,
-                        self.run.now,
-                        &mut self.obs,
-                    );
+                    self.submit(i, BusOp::ReadWord, req.addr);
                     self.nodes[i].pending = Some(Pending {
                         req,
                         kind: PendingKind::Word { attr },
@@ -671,13 +664,7 @@ impl System {
                         }
                         WriteProbe::HitNeedsUpgrade => {
                             self.counters.bump(i, CpuCounter::WriteUpgrade);
-                            self.bus.submit(
-                                MasterId(i),
-                                BusOp::Upgrade,
-                                req.addr,
-                                self.run.now,
-                                &mut self.obs,
-                            );
+                            self.submit(i, BusOp::Upgrade, req.addr);
                             self.nodes[i].pending = Some(Pending {
                                 req,
                                 kind: PendingKind::Upgrade { value },
@@ -689,13 +676,7 @@ impl System {
                             // completion — remote access is interlocked on
                             // the pending word write until then.
                             self.counters.bump(i, CpuCounter::WriteThrough);
-                            self.bus.submit(
-                                MasterId(i),
-                                BusOp::WriteWord(value),
-                                req.addr,
-                                self.run.now,
-                                &mut self.obs,
-                            );
+                            self.submit(i, BusOp::WriteWord(value), req.addr);
                             self.nodes[i].pending = Some(Pending {
                                 req,
                                 kind: PendingKind::Word { attr },
@@ -704,13 +685,7 @@ impl System {
                         WriteProbe::Miss { victim } => {
                             self.counters.bump(i, CpuCounter::WriteMiss);
                             self.evict_victim(i, victim);
-                            self.bus.submit(
-                                MasterId(i),
-                                BusOp::ReadLineExcl,
-                                req.addr,
-                                self.run.now,
-                                &mut self.obs,
-                            );
+                            self.submit(i, BusOp::ReadLineExcl, req.addr);
                             self.nodes[i].pending = Some(Pending {
                                 req,
                                 kind: PendingKind::Fill {
@@ -722,13 +697,7 @@ impl System {
                         }
                         WriteProbe::MissNoAllocate => {
                             self.counters.bump(i, CpuCounter::WriteNoAllocate);
-                            self.bus.submit(
-                                MasterId(i),
-                                BusOp::WriteWord(value),
-                                req.addr,
-                                self.run.now,
-                                &mut self.obs,
-                            );
+                            self.submit(i, BusOp::WriteWord(value), req.addr);
                             self.nodes[i].pending = Some(Pending {
                                 req,
                                 kind: PendingKind::Word { attr },
@@ -737,13 +706,7 @@ impl System {
                     }
                 }
                 MemAttr::Uncached | MemAttr::Device(_) => {
-                    self.bus.submit(
-                        MasterId(i),
-                        BusOp::WriteWord(value),
-                        req.addr,
-                        self.run.now,
-                        &mut self.obs,
-                    );
+                    self.submit(i, BusOp::WriteWord(value), req.addr);
                     self.nodes[i].pending = Some(Pending {
                         req,
                         kind: PendingKind::Word { attr },
@@ -753,13 +716,7 @@ impl System {
             ReqKind::Flush => {
                 match self.nodes[i].cache.flush_line(req.addr) {
                     Some((true, data)) => {
-                        self.bus.submit(
-                            MasterId(i),
-                            BusOp::WriteLine(data),
-                            req.addr.line_base(),
-                            self.run.now,
-                            &mut self.obs,
-                        );
+                        self.submit(i, BusOp::WriteLine(data), req.addr.line_base());
                         self.nodes[i].pending = Some(Pending {
                             req,
                             kind: PendingKind::FlushWb,

@@ -73,6 +73,9 @@ impl System {
             Some(e) if e.plan.next_fire_at().is_some_and(|t| t <= now) => {}
             _ => return,
         }
+        // Faults rewrite component state, the bus's countdowns included,
+        // so the bus first catches up on the cycles it has not warped.
+        self.sync_bus();
         let mut engine = self.run.faults.take().expect("checked above");
         while let Some(spec) = engine.plan.pop_due(now) {
             engine.fired += 1;

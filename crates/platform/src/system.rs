@@ -99,6 +99,9 @@ pub(crate) struct RunState {
     bus_next_abs: u64,
     /// Whether `bus_next_abs` must be recomputed at the next plan.
     pub(crate) bus_sched_dirty: bool,
+    /// Bus cycles the kernel has advanced past without warping the bus
+    /// yet; [`System::sync_bus`] applies them. Zero between iterations.
+    bus_lag: u64,
     /// Whether [`System::run`] measures the kernel's wall-time split.
     profile: bool,
     /// Self-profile accumulators (only written on the profiled path).
@@ -129,6 +132,7 @@ impl RunState {
             progress: 0,
             bus_next_abs: NO_EVENT,
             bus_sched_dirty: true,
+            bus_lag: 0,
             profile: spec.profile,
             prof: ProfCounters::default(),
             watchdog: Watchdog::new(Cycle::new(spec.watchdog_window)),
@@ -579,6 +583,7 @@ impl System {
         // A full step can grant, retry, complete, or submit — all of
         // which move the bus's event horizon.
         self.run.bus_sched_dirty = true;
+        self.sync_bus();
         self.run.now.tick();
         if let Some(ts) = &mut self.obs.series {
             ts.record_full_step(self.run.now);
@@ -595,65 +600,72 @@ impl System {
     /// The horizon is the earliest cycle on which *anything* can happen:
     /// a grant opportunity or data-phase completion on the bus, a CPU
     /// countdown expiry or instruction boundary, a pending-nFIQ delivery,
-    /// the watchdog deadline or the cycle budget. Everything strictly
-    /// before it is warped. The event cycle itself needs the full
-    /// [`System::step`] only when the *bus* can act; a cycle whose only
-    /// events are CPU-local runs through the cheaper
-    /// [`System::step_cpu_only`], which ticks just the due CPUs (recorded
-    /// in the `active` bitmask) and bulk-advances the rest.
-    fn plan(&mut self, max_cycles: u64) -> (u64, u64, bool) {
+    /// a fault fire cycle, the watchdog deadline or `limit`. Everything
+    /// strictly before it is warped. The event cycle itself needs the
+    /// full [`System::step`] only when the *bus* can act; a cycle whose
+    /// only events are CPU-local opens a [`System::cpu_window`], which
+    /// runs that cycle and every CPU-local event cycle after it that
+    /// falls before the next global event.
+    fn plan(&mut self, limit: u64) -> (u64, bool) {
         let now = self.run.now.as_u64();
-        // Budget and watchdog horizons: the stepped cycle after the skip
-        // must land on (or before) both.
-        let mut horizon = max_cycles.saturating_sub(now);
-        if let Some(deadline) = self.run.watchdog.deadline() {
-            horizon = horizon.min(deadline.as_u64().saturating_sub(now));
-        }
+        let bus_abs = self.bus_event_abs();
+        let node_min = self.node_event_min();
+        let event = self.global_event_abs(limit).min(bus_abs).min(node_min);
+        // Fabrics wider than 64 CPUs (none modelled) conservatively
+        // full-step every event cycle.
+        let full = bus_abs == event || self.nodes.len() > 64;
+        ((event - now).saturating_sub(1), full)
+    }
+
+    /// Absolute cycle of the first non-bus global event: the next fault
+    /// fire cycle, the watchdog deadline or `limit` (the cycle budget or
+    /// the [`System::advance`] target), whichever comes first. None of
+    /// them moves earlier while CPUs tick locally.
+    fn global_event_abs(&self, limit: u64) -> u64 {
+        let now = self.run.now.as_u64();
+        let deadline = self
+            .run
+            .watchdog
+            .deadline()
+            .map_or(NO_EVENT, |d| d.as_u64());
         // A fault fire cycle is an event: the stepped cycle must land on
-        // it so `fire_faults` runs there in both kernels.
-        if let Some(engine) = &self.run.faults {
-            if let Some(at) = engine.plan.next_fire_at() {
-                horizon = horizon.min(at.saturating_sub(now).max(1));
-            }
-        }
-        // The bus's event horizon is rescanned only when a step, a
-        // submission, or a fault actually moved it; in absolute cycles
-        // it is invariant under warps and CPU-only ticks.
+        // it so `fire_faults` runs there in both kernels. An overdue
+        // fault fires on the next cycle.
+        let fault = self.run.faults.as_ref().and_then(|e| e.plan.next_fire_at());
+        let fault = fault.map_or(NO_EVENT, |at| at.max(now + 1));
+        limit.min(deadline).max(now).min(fault)
+    }
+
+    /// Absolute cycle of the bus's next event ([`NO_EVENT`] when it is
+    /// quiescent). The ports are rescanned only when a step, a
+    /// submission, or a fault actually moved the horizon; in absolute
+    /// cycles it is invariant under warps and CPU-local ticks.
+    fn bus_event_abs(&mut self) -> u64 {
         if self.run.bus_sched_dirty {
-            self.run.bus_next_abs = match self.bus.next_event() {
-                Some(delta) => now + delta,
-                None => NO_EVENT,
-            };
+            self.sync_bus();
+            let now = self.run.now.as_u64();
+            self.run.bus_next_abs = self.bus.next_event().map_or(NO_EVENT, |d| now + d);
             self.run.bus_sched_dirty = false;
         }
-        let bus_abs = self.run.bus_next_abs;
-        if bus_abs != NO_EVENT {
-            debug_assert!(bus_abs > now, "bus events are strictly in the future");
-            horizon = horizon.min(bus_abs - now);
-        }
-        // Incremental node horizon: re-evaluate only the nodes whose
-        // event inputs changed since the last plan (marked dirty at
-        // their state-transition points). Everyone else's absolute event
-        // cycle is invariant under warps and non-event ticks, so the
-        // recorded answer stands.
+        let abs = self.run.bus_next_abs;
+        debug_assert!(abs > self.run.now.as_u64(), "bus events lie ahead");
+        abs
+    }
+
+    /// Absolute cycle of the earliest CPU-local event ([`NO_EVENT`] when
+    /// no node has one). Only the nodes whose event inputs changed since
+    /// the last plan (marked dirty at their state-transition points) are
+    /// re-evaluated; everyone else's absolute event cycle is invariant
+    /// under warps and non-event ticks, so the recorded answer stands.
+    fn node_event_min(&mut self) -> u64 {
+        let now = self.run.now.as_u64();
         while let Some(i) = self.sched.pop_dirty() {
             let abs = self.node_event_abs(i, now);
             self.sched.record(i, abs);
         }
-        let node_min = self.sched.earliest();
-        if node_min != NO_EVENT {
-            debug_assert!(node_min > now, "node events are strictly in the future");
-            horizon = horizon.min(node_min - now);
-        }
-        // The bitmask caps out at 64 CPUs; larger systems (none modelled)
-        // conservatively full-step every event cycle.
-        let full = (bus_abs != NO_EVENT && bus_abs - now == horizon) || self.nodes.len() > 64;
-        let active = if !full && node_min != NO_EVENT && node_min - now == horizon {
-            self.sched.take_active(now + horizon)
-        } else {
-            0
-        };
-        (horizon.saturating_sub(1), active, full)
+        let min = self.sched.earliest();
+        debug_assert!(min > now, "node events are strictly in the future");
+        min
     }
 
     /// Absolute bus cycle of node `i`'s next CPU-local event, or
@@ -696,7 +708,8 @@ impl System {
 
     /// Bulk-advances the clock and every component's countdowns by
     /// `cycles` event-free bus cycles. Caller must have established via
-    /// [`System::plan`] that no event falls in the window.
+    /// [`System::plan`] that no event falls in the window. The bus's
+    /// share waits in `bus_lag` for the next [`System::sync_bus`].
     fn warp(&mut self, cycles: u64) {
         if let Some(ts) = &mut self.obs.series {
             // The warped window covers cycles now+1 ..= now+cycles — the
@@ -707,81 +720,125 @@ impl System {
             let master = self.bus.active_master().map(MasterId::index);
             ts.record_warp(self.run.now.as_u64() + 1, cycles, busy, master);
         }
+        if self.run.profile {
+            self.run.prof.warped_cycles += cycles;
+        }
         self.run.now += Cycle::new(cycles);
-        self.bus.warp(cycles);
+        self.run.bus_lag += cycles;
         for node in &mut self.nodes {
             node.cpu.warp(cycles * u64::from(node.mult));
         }
     }
 
-    /// Executes one bus cycle on which only CPU-local events occur (no
-    /// grant opportunity, no data-phase completion): ticks the CPUs whose
-    /// event is due (`active` bit set) exactly as [`System::step`] would,
-    /// and bulk-advances the rest. The bus cannot act this cycle, so its
-    /// per-cycle work reduces to the same countdown arithmetic as a
-    /// one-cycle warp.
-    fn step_cpu_only(&mut self, active: u64) {
-        self.run.now.tick();
-        if let Some(ts) = &mut self.obs.series {
-            ts.record_cpu_only_step(self.run.now);
-            if matches!(self.bus.phase(), BusPhase::Data { .. }) {
-                let master = self.bus.active_master().map(MasterId::index);
-                ts.record_busy_span(self.run.now.as_u64(), 1, master);
+    /// A CPU-local window: executes the planned event cycle, on which
+    /// only CPU-local events occur, and then every later CPU-local event
+    /// cycle up to the next global event, warping the dead cycles
+    /// between them.
+    ///
+    /// Each event cycle runs exactly as [`System::step`] would run it,
+    /// minus the bus, which cannot act: [`System::step_cpus`] ticks the
+    /// CPUs whose event is due in index order and bulk-advances the rest.
+    /// Cycles run in order, so golden-checker reads and writes, invariant
+    /// checks, ISR events and telemetry land in the step kernel's order.
+    ///
+    /// The window ends before the first cycle on which the bus, a fault,
+    /// the watchdog or `limit` is due; the fixed horizons are read once,
+    /// and the bus horizon is re-read only after a tick submitted a
+    /// transaction. It also ends after any cycle on which
+    /// [`System::run`] would act: the last CPU halted, an invariant
+    /// broke, a degraded platform finished, or (with `watch`) the
+    /// watchdog tripped. With `watch` the window polls the watchdog after
+    /// every cycle, as the run loop polls after every stepped cycle, so
+    /// its progress stamps are the step kernel's.
+    fn cpu_window(&mut self, limit: u64, watch: bool) {
+        let mut global = None;
+        loop {
+            self.run.now.tick();
+            if let Some(ts) = &mut self.obs.series {
+                ts.record_cpu_only_step(self.run.now);
+                if matches!(self.bus.phase(), BusPhase::Data { .. }) {
+                    let master = self.bus.active_master().map(MasterId::index);
+                    ts.record_busy_span(self.run.now.as_u64(), 1, master);
+                }
+            }
+            if global.is_none() {
+                // Only the first cycle can be a fire cycle: every later
+                // one falls before the next fault (`global`).
+                self.fire_faults();
+            }
+            self.run.bus_lag += 1;
+            self.step_cpus();
+            if self.run.profile {
+                self.run.prof.cpu_only_steps += 1;
+            }
+            if self.run.halted_cpus == self.nodes.len()
+                || self.invariant_violation().is_some()
+                || (self.run.recovery_armed && self.degraded_finished())
+                || (watch
+                    && self.run.watchdog.poll(self.run.now, self.run.progress)
+                        == WatchdogVerdict::Stalled)
+            {
+                break;
+            }
+            let stop = *global.get_or_insert_with(|| self.global_event_abs(limit));
+            let next = self.node_event_min();
+            if next >= stop.min(self.bus_event_abs()) {
+                break;
+            }
+            let skip = next - self.run.now.as_u64() - 1;
+            if skip > 0 {
+                self.warp(skip);
             }
         }
-        self.fire_faults();
-        self.bus.warp(1);
-        for i in 0..self.nodes.len() {
-            if active & (1 << i) != 0 {
-                self.sched.mark_dirty(i);
-                self.tick_node(i);
-            } else {
-                let node = &mut self.nodes[i];
-                node.cpu.warp(u64::from(node.mult));
-            }
+        self.sync_bus();
+    }
+
+    /// Warps the bus through the cycles [`System::warp`] and
+    /// [`System::cpu_window`] deferred. Warps compose, so the bus catches
+    /// up once, when something next reads its countdowns or adds a
+    /// requester to it: a step, a horizon rescan or a submission.
+    pub(crate) fn sync_bus(&mut self) {
+        if self.run.bus_lag > 0 {
+            self.bus.warp(self.run.bus_lag);
+            self.run.bus_lag = 0;
         }
     }
 
     /// One fast-forward iteration against `limit`: warp the dead window,
     /// then execute the event cycle with the cheapest step that preserves
-    /// per-cycle semantics.
-    fn ff_iteration(&mut self, limit: u64) {
-        let (skip, active, full) = self.plan(limit);
+    /// per-cycle semantics — a full step, or a CPU-local window. With the
+    /// kernel self-profile armed it also attributes wall time to the
+    /// plan / warp / step / CPU-only phases and counts the step mix.
+    fn ff_iteration(&mut self, limit: u64, watch: bool) {
+        let mut lap = self.run.profile.then(Instant::now);
+        let (skip, full) = self.plan(limit);
+        self.lap(&mut lap, |p| &mut p.plan_ns);
         if skip > 0 {
             self.warp(skip);
+            self.lap(&mut lap, |p| &mut p.warp_ns);
         }
         if full {
             self.step();
+            self.lap(&mut lap, |p| &mut p.step_ns);
         } else {
-            self.step_cpu_only(active);
+            self.cpu_window(limit, watch);
+            self.lap(&mut lap, |p| &mut p.cpu_only_ns);
+        }
+        if self.run.profile {
+            let prof = &mut self.run.prof;
+            prof.iterations += 1;
+            prof.full_steps += u64::from(full);
         }
     }
 
-    /// [`System::ff_iteration`] with the kernel self-profile armed:
-    /// identical simulation semantics, plus wall-time attribution of the
-    /// plan / warp / step phases and the step-mix counters.
-    fn profiled_ff_iteration(&mut self, limit: u64) {
-        let t0 = Instant::now();
-        let (skip, active, full) = self.plan(limit);
-        let t1 = Instant::now();
-        self.run.prof.plan_ns += (t1 - t0).as_nanos() as u64;
-        let mut t2 = t1;
-        if skip > 0 {
-            self.warp(skip);
-            self.run.prof.warped_cycles += skip;
-            t2 = Instant::now();
-            self.run.prof.warp_ns += (t2 - t1).as_nanos() as u64;
+    /// Adds the wall time since `lap` to the profile phase `slot` picks
+    /// and restarts the lap; a no-op when the profile is off (`None`).
+    fn lap(&mut self, lap: &mut Option<Instant>, slot: fn(&mut ProfCounters) -> &mut u64) {
+        if let Some(start) = lap {
+            let now = Instant::now();
+            *slot(&mut self.run.prof) += (now - *start).as_nanos() as u64;
+            *start = now;
         }
-        if full {
-            self.step();
-            self.run.prof.full_steps += 1;
-            self.run.prof.step_ns += t2.elapsed().as_nanos() as u64;
-        } else {
-            self.step_cpu_only(active);
-            self.run.prof.cpu_only_steps += 1;
-            self.run.prof.cpu_only_ns += t2.elapsed().as_nanos() as u64;
-        }
-        self.run.prof.iterations += 1;
     }
 
     /// Advances up to `cycles` bus cycles with the configured kernel,
@@ -792,7 +849,7 @@ impl System {
         let target = self.run.now.as_u64().saturating_add(cycles);
         while !self.finished() && self.run.now.as_u64() < target {
             match self.run.kernel {
-                Kernel::FastForward => self.ff_iteration(target),
+                Kernel::FastForward => self.ff_iteration(target, false),
                 Kernel::Step => self.step(),
             }
         }
@@ -801,15 +858,17 @@ impl System {
     /// Runs until completion, watchdog stall, invariant break, or
     /// `max_cycles`.
     ///
-    /// With the default [`Kernel::FastForward`] the loop computes the
-    /// earliest next event across all components, warps to one cycle
-    /// before it, and executes the event cycle — through the ordinary
-    /// [`System::step`] when the bus can act, through the reduced
-    /// `step_cpu_only` when the cycle's only events are
-    /// CPU-local — with identical results to [`Kernel::Step`], cycle for
-    /// cycle and counter for counter. Forward progress and the
-    /// invariant/watchdog checks happen only on stepped cycles; warped
-    /// cycles are provably event-free, so those polls would be no-ops.
+    /// With the default [`Kernel::FastForward`] each loop iteration
+    /// computes the earliest next event across all components, warps to
+    /// one cycle before it, and executes the event cycle. When the bus
+    /// can act that is the ordinary [`System::step`]; when the cycle's
+    /// only events are CPU-local it opens a CPU-local window, which also
+    /// runs every later CPU-local event cycle up to the next bus, fault,
+    /// watchdog or budget event. The results are identical to
+    /// [`Kernel::Step`], cycle for cycle and counter for counter. Forward
+    /// progress and the invariant/watchdog checks happen only on stepped
+    /// cycles (inside a window, after each one); warped cycles are
+    /// provably event-free, so those polls would be no-ops.
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
         let wall_start = self.run.profile.then(Instant::now);
         let outcome = loop {
@@ -836,16 +895,16 @@ impl System {
                 }
                 break RunOutcome::CycleLimit;
             }
-            match (self.run.kernel, self.run.profile) {
-                (Kernel::FastForward, false) => self.ff_iteration(max_cycles),
-                (Kernel::FastForward, true) => self.profiled_ff_iteration(max_cycles),
-                (Kernel::Step, false) => self.step(),
-                (Kernel::Step, true) => {
-                    let t = Instant::now();
+            match self.run.kernel {
+                Kernel::FastForward => self.ff_iteration(max_cycles, true),
+                Kernel::Step => {
+                    let mut lap = self.run.profile.then(Instant::now);
                     self.step();
-                    self.run.prof.step_ns += t.elapsed().as_nanos() as u64;
-                    self.run.prof.full_steps += 1;
-                    self.run.prof.iterations += 1;
+                    self.lap(&mut lap, |p| &mut p.step_ns);
+                    if self.run.profile {
+                        self.run.prof.full_steps += 1;
+                        self.run.prof.iterations += 1;
+                    }
                 }
             }
             if self.invariant_violation().is_some() {
@@ -1069,7 +1128,7 @@ impl System {
 
     /// Ticks one CPU its `clock_mult` core cycles for the current bus
     /// cycle — the per-node body of [`System::step_cpus`], shared with
-    /// [`System::step_cpu_only`].
+    /// [`System::cpu_window`].
     fn tick_node(&mut self, i: usize) {
         let masked = self
             .run

@@ -119,22 +119,6 @@ impl EventSchedule {
     pub fn earliest(&self) -> u64 {
         self.next.iter().copied().min().unwrap_or(NO_EVENT)
     }
-
-    /// Collects the bitmask of nodes whose event falls exactly on `abs`,
-    /// marking each one dirty (its event is about to be consumed, so its
-    /// time must be recomputed). Only valid for `len <= 64` — larger
-    /// fabrics full-step every event cycle and never ask for a mask.
-    pub fn take_active(&mut self, abs: u64) -> u64 {
-        debug_assert!(self.len <= 64);
-        let mut mask = 0u64;
-        for i in 0..self.len {
-            if self.next[i] == abs {
-                mask |= 1 << i;
-                self.mark_dirty(i);
-            }
-        }
-        mask
-    }
 }
 
 #[cfg(test)]
@@ -175,21 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn take_active_collects_ties_and_redirties() {
-        let mut s = EventSchedule::new(4);
-        drain(&mut s);
-        s.record(0, 50);
-        s.record(1, 50);
-        s.record(2, 51);
-        s.record(3, NO_EVENT);
-        assert_eq!(s.take_active(50), 0b11);
-        assert!(s.is_dirty(0) && s.is_dirty(1));
-        assert!(!s.is_dirty(2));
-        // A miss returns an empty mask and dirties nothing.
-        assert_eq!(s.take_active(49), 0);
-    }
-
-    #[test]
     fn twelve_nodes_rerecord_and_retract() {
         let n = 12;
         let mut s = EventSchedule::new(n);
@@ -204,29 +173,11 @@ mod tests {
         // Retract node 1 entirely.
         s.record(1, NO_EVENT);
         assert_eq!(s.earliest(), 102);
-        assert_eq!(s.take_active(102), 1 << 2);
+        s.mark_dirty(2);
         assert!(s.is_dirty(2));
+        assert_eq!(s.pop_dirty(), Some(2));
         s.record(2, 600);
         assert_eq!(s.earliest(), 103);
-    }
-
-    #[test]
-    fn sixteen_nodes_take_active_ties() {
-        let mut s = EventSchedule::new(16);
-        drain(&mut s);
-        for i in 0..16 {
-            s.record(i, if i % 2 == 0 { 70 } else { 90 });
-        }
-        let mask = s.take_active(70);
-        assert_eq!(mask, 0x5555);
-        for i in 0..16 {
-            assert_eq!(s.is_dirty(i), i % 2 == 0, "node {i}");
-        }
-        // Re-recording the consumed nodes later leaves the odd nodes first.
-        for i in (0..16).step_by(2) {
-            s.record(i, 200);
-        }
-        assert_eq!(s.earliest(), 90);
     }
 
     #[test]

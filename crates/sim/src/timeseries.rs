@@ -475,21 +475,27 @@ pub struct KernelProfile {
     pub kernel: Kernel,
     /// Total wall time of the run loop, in nanoseconds.
     pub wall_ns: u64,
-    /// Wall time spent planning fast-forward horizons.
+    /// Wall time spent planning fast-forward horizons (the plan that
+    /// opens each iteration).
     pub plan_ns: u64,
-    /// Wall time spent bulk-warping dead windows.
+    /// Wall time spent bulk-warping the dead cycles before each
+    /// iteration's first event cycle.
     pub warp_ns: u64,
     /// Wall time spent in full bus-cycle steps.
     pub step_ns: u64,
-    /// Wall time spent in reduced CPU-only steps.
+    /// Wall time spent in CPU-local windows, including the re-planning
+    /// and warps between the CPU-only steps inside them.
     pub cpu_only_ns: u64,
-    /// Run-loop iterations executed.
+    /// Run-loop iterations executed. A fast-forward iteration is one
+    /// full step or one CPU-local window, however many CPU-only steps
+    /// the window runs.
     pub iterations: u64,
     /// Full bus-cycle steps executed.
     pub full_steps: u64,
-    /// Reduced CPU-only steps executed.
+    /// Reduced CPU-only steps executed, one per event cycle a CPU-local
+    /// window runs.
     pub cpu_only_steps: u64,
-    /// Cycles skipped by warping.
+    /// Cycles skipped by warping, inside windows as well as before them.
     pub warped_cycles: u64,
     /// Simulated cycles per wall-clock second (0 when wall time was not
     /// measured).
